@@ -17,7 +17,10 @@
 //! ```
 //!
 //! Both paths produce bitwise-identical points (asserted on every run),
-//! so the ratio is pure throughput.
+//! so the ratio is pure throughput. Each path's rate is the median of
+//! five measurements of at least 0.5 s, reported with its min/max; the
+//! fused models' engine labels and the per-slot member counts (which
+//! decide the engine) are printed and recorded alongside.
 
 use autoax::evaluate::Evaluator;
 use autoax::model::{fit_models, EvaluatedSet, ModelEstimator};
@@ -59,14 +62,35 @@ fn num_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
     None
 }
 
-/// One timed pass structure: drives the estimator over the whole batch in
-/// `SLICE`-row chunks until `min_time` elapses, returning evals/s and the
-/// points of the final pass (for the parity check).
-fn measure(
-    est: &ModelEstimator<'_>,
-    batch: &ConfigBatch,
-    min_time: f64,
-) -> (f64, Vec<TradeoffPoint>) {
+/// Timed measurements per path; the reported rate is their median.
+const SAMPLES: usize = 5;
+
+/// Minimum wall time of one measurement.
+const MIN_SAMPLE_S: f64 = 0.5;
+
+/// Evals/s of one path: the median of [`SAMPLES`] measurements with
+/// their spread.
+struct Rate {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Rate {
+    fn json(&self, path: &str) -> Vec<(String, Json)> {
+        vec![
+            (format!("{path}_evals_per_sec"), Json::Num(self.median)),
+            (format!("{path}_evals_per_sec_min"), Json::Num(self.min)),
+            (format!("{path}_evals_per_sec_max"), Json::Num(self.max)),
+        ]
+    }
+}
+
+/// Drives the estimator over the whole batch in `SLICE`-row chunks,
+/// repeating passes until [`MIN_SAMPLE_S`] elapses, [`SAMPLES`] times.
+/// Returns the evals/s rate and the points of the final pass (for the
+/// parity check).
+fn measure(est: &ModelEstimator<'_>, batch: &ConfigBatch) -> (Rate, Vec<TradeoffPoint>) {
     let n = batch.len();
     let mut out: Vec<TradeoffPoint> = Vec::with_capacity(n);
     let pass = |out: &mut Vec<TradeoffPoint>| {
@@ -79,18 +103,28 @@ fn measure(
         }
     };
     pass(&mut out); // warm-up: fault pages, fill caches
-    let start = Instant::now();
-    let mut rows = 0u64;
-    loop {
-        pass(&mut out);
-        black_box(&out);
-        rows += n as u64;
-        if start.elapsed().as_secs_f64() >= min_time {
-            break;
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (rows as f64 / secs, out)
+    let mut rates: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            let mut rows = 0u64;
+            loop {
+                pass(&mut out);
+                black_box(&out);
+                rows += n as u64;
+                if start.elapsed().as_secs_f64() >= MIN_SAMPLE_S {
+                    break;
+                }
+            }
+            rows as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let rate = Rate {
+        median: rates[SAMPLES / 2],
+        min: rates[0],
+        max: rates[SAMPLES - 1],
+    };
+    (rate, out)
 }
 
 fn main() {
@@ -99,10 +133,10 @@ fn main() {
     std::env::set_var(autoax_exec::THREADS_ENV, "1");
     let scale = Scale::from_args();
     let assert_min: Option<f64> = num_arg("assert-speedup");
-    let (batch_rows, min_time) = match scale {
-        Scale::Quick => (2_048, 0.3),
-        Scale::Default => (8_192, 1.5),
-        Scale::Paper => (16_384, 4.0),
+    let batch_rows = match scale {
+        Scale::Quick => 2_048,
+        Scale::Default => 8_192,
+        Scale::Paper => 16_384,
     };
 
     println!("building library (scale {}) ...", scale.label());
@@ -132,13 +166,15 @@ fn main() {
     let matrix = ModelEstimator::new_unfused(&models, &pre.space, &lib);
     assert_eq!(fused.fused(), (true, true), "forest models must fuse");
     assert_eq!(matrix.fused(), (false, false));
+    let engines = fused.engines();
+    println!("fused engines: qor={}, hw={}", engines.0, engines.1);
 
     println!(
-        "timing {} candidate rows per pass, {}-row slices, single thread ...",
-        batch_rows, SLICE
+        "timing {batch_rows} candidate rows per pass, {SLICE}-row slices, single thread, \
+         median of {SAMPLES} x >= {MIN_SAMPLE_S} s per path ..."
     );
-    let (matrix_eps, matrix_pts) = measure(&matrix, &batch, min_time);
-    let (fused_eps, fused_pts) = measure(&fused, &batch, min_time);
+    let (matrix_rate, matrix_pts) = measure(&matrix, &batch);
+    let (fused_rate, fused_pts) = measure(&fused, &batch);
 
     // Both paths must agree bit for bit — the speedup is free of any
     // numeric drift by construction.
@@ -148,25 +184,43 @@ fn main() {
         assert_eq!(m.cost.to_bits(), f.cost.to_bits(), "row {i}: cost diverged");
     }
 
-    let speedup = fused_eps / matrix_eps;
+    let speedup = fused_rate.median / matrix_rate.median;
     println!("\nforest_kernel ({} scale, single thread)", scale.label());
-    println!("  matrix + pointer-walk: {matrix_eps:>12.0} evals/s");
-    println!("  fused gather+traverse: {fused_eps:>12.0} evals/s");
-    println!("  speedup:               {speedup:>12.2}x");
+    for (label, r) in [
+        ("matrix + pointer-walk", &matrix_rate),
+        ("fused gather+traverse", &fused_rate),
+    ] {
+        println!(
+            "  {label}: {:>12.0} evals/s  (min {:.0}, max {:.0})",
+            r.median, r.min, r.max
+        );
+    }
+    println!("  speedup:               {speedup:>12.2}x (median / median)");
 
-    write_bench_section(
-        "forest_kernel",
-        &Json::Obj(vec![
-            ("scale".into(), Json::Str(scale.label().into())),
-            ("train_configs".into(), Json::int(train_n as u64)),
-            ("threads".into(), Json::int(1)),
-            ("batch_rows".into(), Json::int(batch_rows as u64)),
-            ("slice_rows".into(), Json::int(SLICE as u64)),
-            ("matrix_evals_per_sec".into(), Json::Num(matrix_eps)),
-            ("fused_evals_per_sec".into(), Json::Num(fused_eps)),
-            ("speedup".into(), Json::Num(speedup)),
-        ]),
-    );
+    let mut fields = vec![
+        ("scale".into(), Json::Str(scale.label().into())),
+        ("train_configs".into(), Json::int(train_n as u64)),
+        ("threads".into(), Json::int(1)),
+        ("batch_rows".into(), Json::int(batch_rows as u64)),
+        ("slice_rows".into(), Json::int(SLICE as u64)),
+        ("samples".into(), Json::int(SAMPLES as u64)),
+        ("min_sample_s".into(), Json::Num(MIN_SAMPLE_S)),
+        (
+            "engines".into(),
+            Json::Arr(vec![
+                Json::Str(engines.0.into()),
+                Json::Str(engines.1.into()),
+            ]),
+        ),
+        (
+            "members_per_slot".into(),
+            Json::Arr(members.iter().map(|&m| Json::int(m as u64)).collect()),
+        ),
+    ];
+    fields.extend(matrix_rate.json("matrix"));
+    fields.extend(fused_rate.json("fused"));
+    fields.push(("speedup".into(), Json::Num(speedup)));
+    write_bench_section("forest_kernel", &Json::Obj(fields));
 
     if let Some(min) = assert_min {
         assert!(

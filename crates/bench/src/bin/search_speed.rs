@@ -24,8 +24,11 @@
 //!
 //! The run also sweeps `SearchOptions::threads` over 1/2/4/8 and asserts
 //! the hill front is **bit-identical** at every width (the determinism
-//! contract: the thread count is a pure throughput knob). Per-phase
-//! wall-clock (propose / estimate / insert) and the thread sweep land in
+//! contract: the thread count is a pure throughput knob). Throughput is
+//! recorded only for widths within `available_parallelism`; wider rows
+//! are marked `"oversubscribed": true`, since their rate measures the
+//! host's scheduler rather than the search. Per-phase wall-clock
+//! (propose / estimate / insert) and the thread sweep land in
 //! `bench_out/BENCH_pipeline.json` under `search_throughput`.
 
 use autoax::evaluate::Evaluator;
@@ -199,8 +202,9 @@ fn main() {
 
     // Thread-scaling sweep. The front must not move by a single bit —
     // islands are deterministic in isolation and merge in island order.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut sweep = Vec::new();
-    println!("\n  hill thread scaling:");
+    println!("\n  hill thread scaling ({cores} cores available):");
     for threads in [1usize, 2, 4, 8] {
         let r = measure(&pre.space, &est, &SearchOptions { threads, ..base });
         assert_eq!(
@@ -208,14 +212,20 @@ fn main() {
             "threads={threads} changed the hill front (digest {:016x} != {:016x})",
             r.digest, hill.digest
         );
-        println!(
-            "    threads={threads}: {:>9.0} evals/s (front bit-identical)",
-            r.evals_per_sec
-        );
-        sweep.push(Json::Obj(vec![
-            ("threads".into(), Json::int(threads as u64)),
-            ("evals_per_sec".into(), Json::Num(r.evals_per_sec)),
-        ]));
+        let mut row = vec![("threads".into(), Json::int(threads as u64))];
+        if threads <= cores {
+            println!(
+                "    threads={threads}: {:>9.0} evals/s (front bit-identical)",
+                r.evals_per_sec
+            );
+            row.push(("evals_per_sec".into(), Json::Num(r.evals_per_sec)));
+        } else {
+            println!(
+                "    threads={threads}: oversubscribed, rate not recorded (front bit-identical)"
+            );
+            row.push(("oversubscribed".into(), Json::Bool(true)));
+        }
+        sweep.push(Json::Obj(row));
     }
 
     write_bench_section(

@@ -320,10 +320,11 @@ impl<'a> ModelEstimator<'a> {
         (self.qor_fused.is_some(), self.hw_fused.is_some())
     }
 
-    /// Node encoding each fused kernel dispatches to (`"mask32"`,
-    /// `"mask"`, `"quant"` or `"gather"`; `"matrix"` when the model is
-    /// not fused) — hot-path observability for benches and the pipeline
-    /// record.
+    /// Node encoding each fused kernel dispatches to (`"mask32"` or
+    /// `"quant"`, see [`autoax_ml::GatherForest::engine`]; `"matrix"` when
+    /// the model is not fused — not a forest/tree, or a layout neither
+    /// encoding can hold) — hot-path observability for benches and the
+    /// pipeline record.
     pub fn engines(&self) -> (&'static str, &'static str) {
         let name =
             |g: &Option<autoax_ml::GatherForest>| g.as_ref().map_or("matrix", |g| g.engine());
@@ -753,6 +754,67 @@ mod tests {
         let naive = naive_models(&s.pre.space);
         let est = ModelEstimator::new(&naive, &s.pre.space, &s.lib);
         assert_eq!(est.fused(), (false, false));
+    }
+
+    #[test]
+    fn unbakeable_layouts_fall_back_to_the_matrix_path_bitwise() {
+        // A slot of 2^16 members (a feature table one longer than
+        // u16::MAX) fits neither forest encoding: `bake_gather` fails,
+        // the estimator reports the matrix path and its estimates stay
+        // bit-identical to the fused kernel on the same features.
+        use crate::search::Estimator;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let s = setup();
+        let ev = Evaluator::new(&s.accel, &s.lib, &s.pre.space, &s.images);
+        let train = EvaluatedSet::generate(&ev, &s.pre.space, 50, 4);
+        let models = fit_models(EngineKind::RandomForest, &s.pre.space, &s.lib, &train, 9).unwrap();
+        // slot 0's members cycled to 2^16 entries: wide gene g is gene
+        // g % n0 of the original space
+        let n0 = s.pre.space.slots()[0].members.len();
+        let wide = ConfigSpace::new(
+            s.pre
+                .space
+                .slots()
+                .iter()
+                .enumerate()
+                .map(|(i, sl)| crate::config::SlotChoices {
+                    name: sl.name.clone(),
+                    signature: sl.signature,
+                    members: match i {
+                        0 => sl.members.iter().cycle().take(1 << 16).copied().collect(),
+                        _ => sl.members.clone(),
+                    },
+                })
+                .collect(),
+        );
+        let matrix = ModelEstimator::new(&models, &wide, &s.lib);
+        assert_eq!(matrix.fused(), (false, false));
+        assert_eq!(matrix.engines(), ("matrix", "matrix"));
+        let fused = ModelEstimator::new(&models, &s.pre.space, &s.lib);
+        assert_eq!(fused.fused(), (true, true));
+        let mut rng = StdRng::seed_from_u64(13);
+        let wide_configs: Vec<Configuration> = (0..61).map(|_| wide.random(&mut rng)).collect();
+        let narrow_configs: Vec<Configuration> = wide_configs
+            .iter()
+            .map(|c| {
+                let mut g = c.genes().to_vec();
+                g[0] = (g[0] as usize % n0) as u16;
+                Configuration::from_genes(g)
+            })
+            .collect();
+        let (wide_slab, narrow_slab) = (
+            crate::search::ConfigBatch::from_configs(&wide_configs),
+            crate::search::ConfigBatch::from_configs(&narrow_configs),
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        matrix.estimate_slice(wide_slab.slice(0..61), &mut a);
+        fused.estimate_slice(narrow_slab.slice(0..61), &mut b);
+        assert_eq!(a.len(), 61);
+        for (i, (pa, pb)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(pa.qor.to_bits(), pb.qor.to_bits(), "qor row {i}");
+            assert_eq!(pa.cost.to_bits(), pb.cost.to_bits(), "hw row {i}");
+        }
     }
 
     #[test]

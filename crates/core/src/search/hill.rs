@@ -48,10 +48,6 @@
 //!   never changes the result — a round's candidates are fixed before
 //!   estimation, and batch estimates are bitwise equal to per-row
 //!   estimates.
-//!
-//! The pre-island sequential loop is kept as
-//! [`heuristic_pareto_scalar`] — the baseline the `search_throughput`
-//! bench compares against.
 
 use super::{ConfigBatch, Estimator, SearchAlgo, SearchStrategy};
 use crate::config::{ConfigSpace, Configuration};
@@ -356,40 +352,6 @@ pub fn heuristic_pareto(
     HillClimb.search(space, estimator, opts)
 }
 
-/// The original single-threaded, one-estimate-per-iteration Algorithm 1 —
-/// the scalar baseline for the island search (kept for the
-/// `search_throughput` bench and as the paper-literal reference).
-pub fn heuristic_pareto_scalar(
-    space: &ConfigSpace,
-    estimator: &impl Estimator,
-    opts: &SearchOptions,
-) -> ParetoFront<Configuration> {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut parent = space.random(&mut rng);
-    let mut front: ParetoFront<Configuration> = ParetoFront::new();
-    let mut stagnation = 0usize;
-    for _ in 0..opts.max_evals {
-        let candidate = space.neighbor(&parent, &mut rng);
-        let est = estimator.estimate(&candidate);
-        if front.try_insert(est, candidate.clone()) {
-            parent = candidate;
-            stagnation = 0;
-        } else {
-            stagnation += 1;
-            if stagnation >= opts.stagnation_limit && !front.is_empty() {
-                let pick = rng.gen_range(0..front.len());
-                parent = front
-                    .iter()
-                    .nth(pick)
-                    .map(|(_, c)| c.clone())
-                    .expect("front member");
-                stagnation = 0;
-            }
-        }
-    }
-    front
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,22 +461,6 @@ mod tests {
                 "islands={islands} not deterministic"
             );
         }
-    }
-
-    #[test]
-    fn scalar_baseline_matches_historical_behavior() {
-        // The scalar path is the pre-island sequential loop; it must stay
-        // deterministic and produce a sane front.
-        let space = toy_space(4, 6);
-        let opts = SearchOptions {
-            max_evals: 10_000,
-            seed: 3,
-            ..SearchOptions::default()
-        };
-        let a = heuristic_pareto_scalar(&space, &toy_estimator, &opts);
-        let b = heuristic_pareto_scalar(&space, &toy_estimator, &opts);
-        assert_eq!(snapshot(&a), snapshot(&b));
-        assert!(a.len() >= 15, "scalar found only {} levels", a.len());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod uniform;
 
 pub use batch::{ConfigBatch, ConfigSlice};
 pub use exhaustive::{exhaustive_front, ExhaustiveEnumeration};
-pub use hill::{heuristic_pareto, heuristic_pareto_scalar, HillClimb, SearchOptions};
+pub use hill::{heuristic_pareto, HillClimb, SearchOptions};
 pub use nsga2::Nsga2;
 pub use phase::SearchTimings;
 pub use random::{random_sampling, RandomSampling};

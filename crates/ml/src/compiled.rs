@@ -20,13 +20,15 @@
 //!   **bitwise identical** to the pointer walk.
 //!
 //! [`GatherForest`] goes one step further for the DSE: the per-slot
-//! feature tables of the estimator are pre-baked *into* the arena's
-//! feature indices (each node stores a flat table offset plus the genome
-//! slot that selects the row), so prediction runs straight off a `u16`
-//! genome slab — the feature matrix is never materialized. An explicit
-//! AVX2 variant (4 rows per instruction stream, `vgatherqpd` lane loads,
-//! `vcmppd`/`vblendvpd` select) is runtime-dispatched on `x86_64`; the
-//! scalar mask-select fallback is bit-identical.
+//! feature tables of the estimator are pre-baked *into* the node records
+//! (each node stores the genome slot that selects the row plus a
+//! precomputed comparison), so prediction runs straight off a `u16`
+//! genome slab — the feature matrix is never materialized. Two node
+//! encodings cover every layout: `mask32` (8-byte records holding the
+//! comparison as a bitmask, for slots of ≤ 32 members) and `quant`
+//! (16-byte records comparing u16 sorted ranks, for everything else).
+//! Each has an AVX2 kernel, runtime-dispatched on `x86_64`, and a
+//! bit-identical portable kernel.
 
 use crate::engine::TrainError;
 use crate::forest::RandomForest;
@@ -253,158 +255,135 @@ impl CompiledForest {
     /// exactly what a gathered feature matrix would contain, so fused
     /// predictions stay bitwise identical to the matrix path.
     ///
+    /// The `mask32` encoding is baked when every read slot has ≤ 32
+    /// members, the stride is ≤ 64 and every tree spans ≤ 8192 nodes;
+    /// the `quant` encoding otherwise.
+    ///
     /// # Errors
     /// [`TrainError`] when the layout does not cover the arena's feature
-    /// width or names a slot outside its own stride.
+    /// width, names a slot outside its own stride, or fits neither
+    /// encoding (a table longer than `u16::MAX` or a stride ≥ 2^16 when
+    /// `mask32` does not apply).
     pub fn bake_gather(&self, layout: &GatherLayout) -> Result<GatherForest, TrainError> {
         if layout.slot_of.len() < self.n_features || layout.values.len() != layout.slot_of.len() {
             return Err(TrainError::new("gather layout narrower than the arena"));
         }
         let stride = layout.stride;
         let mut slot_members = vec![u32::MAX; stride];
-        let mut offsets = Vec::with_capacity(layout.values.len());
-        let mut values = Vec::new();
         for (f, table) in layout.values.iter().enumerate() {
             let s = layout.slot_of[f] as usize;
             if s >= stride {
                 return Err(TrainError::new("gather layout slot out of range"));
             }
-            offsets.push(values.len() as u32);
-            values.extend_from_slice(table);
             slot_members[s] = slot_members[s].min(table.len() as u32);
         }
-        // `u32::MAX` marks a slot no feature reads — never indexed, so it
-        // does not block the mask encoding.
-        let mask_mode = slot_members.iter().all(|&m| m <= 64 || m == u32::MAX)
-            && self.feature.len() < (1 << 24)
-            && stride < (1 << 16);
-        // Quantized-rank mode is the universal fallback when some slot
-        // exceeds the 64-gene mask budget: every feature table is rank-
-        // compressed so the hot compare is u16-vs-u16 on the genome slab,
-        // no float feature gather at all. See `QuantNode` for the exact-
-        // equivalence argument.
-        let quant_mode = !mask_mode
-            && stride < (1 << 16)
-            && layout.values.iter().all(|t| t.len() <= u16::MAX as usize);
-        let mut ranks = Vec::new();
-        let mut ranks32 = Vec::new();
-        let mut quants = Vec::new();
-        if quant_mode {
-            ranks.resize(values.len(), 0u16);
-            for (f, table) in layout.values.iter().enumerate() {
-                let off = offsets[f] as usize;
-                // Argsort with NaNs (either sign) last: members of the
-                // `v <= t` set then occupy exactly the ranks below
-                // `count(v <= t)` for every threshold `t`, duplicates and
-                // signed zeros included.
-                let mut order: Vec<u32> = (0..table.len() as u32).collect();
-                order.sort_by(|&a, &b| {
-                    let (va, vb) = (table[a as usize], table[b as usize]);
-                    va.is_nan()
-                        .cmp(&vb.is_nan())
-                        .then(va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal))
-                });
-                for (pos, &g) in order.iter().enumerate() {
-                    ranks[off + g as usize] = pos as u16;
-                }
+        let (masks32, quants, ranks) = match self.bake_mask32(layout, &slot_members) {
+            Some(m) => (m, Vec::new(), Vec::new()),
+            None => {
+                let (q, r) = self.bake_quant(layout)?;
+                (Vec::new(), q, r)
             }
-            ranks32 = ranks.iter().map(|&r| r as u32).collect();
-            quants = (0..self.feature.len())
-                .map(|i| {
-                    let f = self.feature[i] as usize;
-                    let t = self.threshold[i];
-                    // Leaves carry a NaN threshold: `v <= NaN` never
-                    // holds, so their count is 0 and `rank < 0` is always
-                    // false — the self-loop still never steps left.
-                    let thresh = layout.values[f].iter().filter(|&&v| v <= t).count() as u64;
-                    QuantNode {
-                        key: offsets[f] as u64
-                            | (thresh << 32)
-                            | ((layout.slot_of[f] as u64) << 48),
-                        children: ((self.right[i] as u64) << 32) | self.left[i] as u64,
-                    }
-                })
-                .collect();
-        }
-        let masks = if mask_mode {
-            (0..self.feature.len())
-                .map(|i| {
-                    let f = self.feature[i] as usize;
-                    let t = self.threshold[i];
-                    let mut mask = 0u64;
-                    for (g, &v) in layout.values[f].iter().enumerate().take(64) {
-                        mask |= ((v <= t) as u64) << g;
-                    }
-                    MaskNode {
-                        mask,
-                        meta: (self.left[i] as u64)
-                            | ((self.right[i] as u64) << 24)
-                            | ((layout.slot_of[f] as u64) << 48),
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // The ≤32-member refinement of mask mode: 8-byte records with
-        // root-relative 13-bit children. Falls back to the 16-byte masks
-        // when a slot, the stride, or a tree span exceeds the packed
-        // field widths — paper-scale spaces (≤ 32 members/slot, trees of
-        // a few thousand nodes) always qualify.
-        let masks32 = 'm32: {
-            if !mask_mode || stride > 64 || !slot_members.iter().all(|&m| m <= 32 || m == u32::MAX)
-            {
-                break 'm32 Vec::new();
-            }
-            let n = self.feature.len() as u32;
-            let mut out = Vec::with_capacity(n as usize);
-            for (ti, &root) in self.roots.iter().enumerate() {
-                let end = self.roots.get(ti + 1).copied().unwrap_or(n);
-                if end - root > (1 << 13) {
-                    break 'm32 Vec::new(); // tree too deep for 13-bit rel
-                }
-                for i in root..end {
-                    let i = i as usize;
-                    let f = self.feature[i] as usize;
-                    let t = self.threshold[i];
-                    let mut mask = 0u32;
-                    for (g, &v) in layout.values[f].iter().enumerate().take(32) {
-                        mask |= ((v <= t) as u32) << g;
-                    }
-                    out.push(Mask32Node {
-                        mask,
-                        meta: (self.right[i] - root)
-                            | ((self.left[i] - root) << 13)
-                            | (layout.slot_of[f] << 26),
-                    });
-                }
-            }
-            out
         };
         Ok(GatherForest {
-            nodes: (0..self.feature.len())
-                .map(|i| {
-                    let f = self.feature[i] as usize;
-                    PackedNode {
-                        threshold: self.threshold[i],
-                        slot_off: ((layout.slot_of[f] as u64) << 32) | offsets[f] as u64,
-                        children: ((self.right[i] as u64) << 32) | self.left[i] as u64,
-                    }
-                })
-                .collect(),
-            masks,
             masks32,
             quants,
+            ranks32: ranks.iter().map(|&r| r as u32).collect(),
             ranks,
-            ranks32,
             leaf: self.leaf.clone(),
             roots: self.roots.clone(),
             depths: self.depths.clone(),
-            values,
             slot_members,
             stride,
             divisor: self.divisor,
         })
+    }
+
+    /// The [`Mask32Node`] records, or `None` when a slot has more than 32
+    /// members, the stride exceeds 64 (6-bit slot field) or a tree spans
+    /// more nodes than the 13-bit root-relative children can address.
+    fn bake_mask32(&self, layout: &GatherLayout, slot_members: &[u32]) -> Option<Vec<Mask32Node>> {
+        // `u32::MAX` marks a slot no feature reads — never indexed, so it
+        // does not block the encoding.
+        if layout.stride > 64 || !slot_members.iter().all(|&m| m <= 32 || m == u32::MAX) {
+            return None;
+        }
+        let n = self.feature.len() as u32;
+        let mut out = Vec::with_capacity(n as usize);
+        for (ti, &root) in self.roots.iter().enumerate() {
+            let end = self.roots.get(ti + 1).copied().unwrap_or(n);
+            if end - root > (1 << 13) {
+                return None;
+            }
+            for i in root..end {
+                let i = i as usize;
+                let f = self.feature[i] as usize;
+                let t = self.threshold[i];
+                let mut mask = 0u32;
+                for (g, &v) in layout.values[f].iter().enumerate().take(32) {
+                    mask |= ((v <= t) as u32) << g;
+                }
+                out.push(Mask32Node {
+                    mask,
+                    meta: (self.right[i] - root)
+                        | ((self.left[i] - root) << 13)
+                        | (layout.slot_of[f] << 26),
+                });
+            }
+        }
+        Some(out)
+    }
+
+    /// The [`QuantNode`] records and the flat per-gene rank slab.
+    ///
+    /// # Errors
+    /// [`TrainError`] when a rank, a threshold rank or the slot does not
+    /// fit its 16-bit field, or the rank slab outgrows 32-bit offsets.
+    fn bake_quant(&self, layout: &GatherLayout) -> Result<(Vec<QuantNode>, Vec<u16>), TrainError> {
+        if layout.stride >= 1 << 16 {
+            return Err(TrainError::new("stride too wide for u16 quantized slots"));
+        }
+        if layout.values.iter().any(|t| t.len() > u16::MAX as usize) {
+            return Err(TrainError::new("feature table too long for u16 ranks"));
+        }
+        let mut offsets = Vec::with_capacity(layout.values.len());
+        let mut ranks = Vec::new();
+        for table in &layout.values {
+            let off = ranks.len();
+            offsets.push(off as u64);
+            ranks.resize(off + table.len(), 0u16);
+            // Argsort with NaNs (either sign) last: members of the
+            // `v <= t` set then occupy exactly the ranks below
+            // `count(v <= t)` for every threshold `t`, duplicates and
+            // signed zeros included.
+            let mut order: Vec<u32> = (0..table.len() as u32).collect();
+            order.sort_by(|&a, &b| {
+                let (va, vb) = (table[a as usize], table[b as usize]);
+                va.is_nan()
+                    .cmp(&vb.is_nan())
+                    .then(va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal))
+            });
+            for (pos, &g) in order.iter().enumerate() {
+                ranks[off + g as usize] = pos as u16;
+            }
+        }
+        if ranks.len() > u32::MAX as usize {
+            return Err(TrainError::new("rank slab exceeds u32 offsets"));
+        }
+        let quants = (0..self.feature.len())
+            .map(|i| {
+                let f = self.feature[i] as usize;
+                let t = self.threshold[i];
+                // Leaves carry a NaN threshold: `v <= NaN` never holds, so
+                // their count is 0 and `rank < 0` is always false — the
+                // self-loop still never steps left.
+                let thresh = layout.values[f].iter().filter(|&&v| v <= t).count() as u64;
+                QuantNode {
+                    key: offsets[f] | (thresh << 32) | ((layout.slot_of[f] as u64) << 48),
+                    children: ((self.right[i] as u64) << 32) | self.left[i] as u64,
+                }
+            })
+            .collect();
+        Ok((quants, ranks))
     }
 }
 
@@ -443,51 +422,16 @@ pub struct GatherLayout {
     pub values: Vec<Vec<f64>>,
 }
 
-/// One traversal node of a [`GatherForest`], packed to 24 bytes so a
-/// node visit touches one cache line instead of five SoA lanes (paths
-/// through a paper-sized arena are effectively random, so the lane
-/// spread dominates the miss rate).
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-struct PackedNode {
-    /// Split threshold (`NaN` for leaves, so `x <= t` never holds).
-    threshold: f64,
-    /// Genome slot in the high 32 bits, base offset of the node's value
-    /// table in the low 32.
-    slot_off: u64,
-    /// Left child in the low 32 bits, right child in the high 32 (self
-    /// for leaves).
-    children: u64,
-}
-
-/// One mask-mode traversal node: when every slot has ≤ 64 members (and
-/// the arena fits 24-bit node indices), the per-node comparison
-/// `table[gene] <= threshold` is precomputed for every gene into a
-/// bitmask at bake time, so a step needs neither the value load nor the
-/// float compare — just `(mask >> gene) & 1`. 16 bytes per node keeps
-/// four nodes per cache line; node-record traffic is what bounds the
-/// kernel on paper-sized arenas.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-struct MaskNode {
-    /// Bit `g` = `table[g] <= threshold` (0 everywhere for leaves, since
-    /// `x <= NaN` never holds).
-    mask: u64,
-    /// Bits 0..24 left child, 24..48 right child (self for leaves),
-    /// 48..64 the genome slot read at this node.
-    meta: u64,
-}
-
-/// One 32-bit mask-mode traversal node: when additionally every slot
-/// has ≤ 32 members, every tree spans ≤ 8192 nodes and the genome
-/// stride is ≤ 64, the [`MaskNode`] record halves to 8 bytes — the
-/// comparison mask fits a `u32` and the children are stored
-/// *root-relative* in 13 bits each (`next = root + rel`; leaves carry
-/// their own offset on both sides, preserving the self-loop). Eight
-/// records per cache line, and — the real win — the whole record is a
-/// single 64-bit gather lane, so the SIMD kernel runs 8 rows per
-/// vector on 32-bit lanes instead of 4 on 64-bit lanes, halving the
-/// gather count per row on gather-bound cores.
+/// One `mask32` traversal node: when every slot has ≤ 32 members, every
+/// tree spans ≤ 8192 nodes and the genome stride is ≤ 64, the per-node
+/// comparison `table[gene] <= threshold` is precomputed for every gene
+/// into a `u32` bitmask at bake time, so a step needs neither a value
+/// load nor a float compare — just `(mask >> gene) & 1`. The children
+/// are stored *root-relative* in 13 bits each (`next = root + rel`;
+/// leaves carry their own offset on both sides, preserving the
+/// self-loop). Eight records per cache line, and the whole record is a
+/// single 64-bit gather lane, so the SIMD kernel runs 8 rows per vector
+/// on 32-bit lanes.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct Mask32Node {
@@ -499,9 +443,9 @@ struct Mask32Node {
     meta: u32,
 }
 
-/// One quantized-rank traversal node: the universal extension of the
-/// ≤ 64-member [`MaskNode`] trick. At bake time every feature table is
-/// stably argsorted and each gene `g` is assigned its sorted position
+/// One `quant` traversal node: the universal extension of the
+/// [`Mask32Node`] trick. At bake time every feature table is stably
+/// argsorted and each gene `g` is assigned its sorted position
 /// `rank[g]` (`u16`); the node stores `thresh_rank = |{v : v <= t}|`.
 /// Because the `v <= t` members occupy exactly the sorted positions
 /// `0..thresh_rank` (duplicates share a contiguous run that is entirely
@@ -509,8 +453,7 @@ struct Mask32Node {
 /// `<= t`), the float step `values[off+g] <= t` is **exactly**
 /// `rank[off+g] < thresh_rank` — a u16-vs-u16 compare on the genome
 /// slab with no float feature gather, reaching the same leaves and
-/// therefore producing bit-identical predictions. 16 bytes per node,
-/// same layout discipline as [`MaskNode`].
+/// therefore producing bit-identical predictions. 16 bytes per node.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct QuantNode {
@@ -523,27 +466,17 @@ struct QuantNode {
 }
 
 /// A [`CompiledForest`] with the estimator's per-slot feature tables
-/// baked into the node records: node `i` resolves its split value as
-/// `values[off(i) + genome[slot(i)]]`, fusing the feature gather into
-/// the traversal — no feature matrix exists at any point.
+/// baked into the node records, fusing the feature gather into the
+/// traversal — no feature matrix exists at any point. Exactly one of
+/// `masks32`/`quants` is non-empty; both hold the arena's nodes in the
+/// same order.
 #[derive(Debug, Clone)]
 pub struct GatherForest {
-    /// Packed traversal records, trees concatenated.
-    nodes: Vec<PackedNode>,
-    /// Mask-mode records (empty when some slot exceeds 64 members and
-    /// the precomputed-comparison encoding cannot hold it; the kernels
-    /// then run on `quants` or `nodes`). Same node order, same bits out.
-    masks: Vec<MaskNode>,
-    /// 8-byte mask records (built when every slot has ≤ 32 members,
-    /// stride ≤ 64 and every tree fits 13-bit root-relative children;
-    /// empty otherwise — the kernels then run on `masks`). Same node
-    /// order, same bits out.
+    /// `mask32` records (empty when the layout needs `quant`).
     masks32: Vec<Mask32Node>,
-    /// Quantized-rank records (built when mask mode is unavailable but
-    /// every table fits u16 ranks; empty otherwise). Same node order as
-    /// `nodes`, bit-identical predictions.
+    /// `quant` records (empty when `mask32` is baked).
     quants: Vec<QuantNode>,
-    /// Per-gene sorted ranks, parallel to `values` (quant mode only).
+    /// Per-gene sorted ranks, one table after another (`quant` only).
     ranks: Vec<u16>,
     /// `ranks` widened to u32 for 32-bit SIMD gathers.
     ranks32: Vec<u32>,
@@ -551,8 +484,6 @@ pub struct GatherForest {
     leaf: Vec<f64>,
     roots: Vec<u32>,
     depths: Vec<u32>,
-    /// Flat baked feature tables.
-    values: Vec<f64>,
     /// Per slot: smallest table length over the features it backs — the
     /// exclusive upper bound a gene must respect (checked per batch, so
     /// the gather kernels can load unchecked).
@@ -569,61 +500,44 @@ impl GatherForest {
 
     /// Predicts one value per genome row of a flat `u16` slab,
     /// overwriting `out` (cleared first; the allocation is reused across
-    /// rounds). Dispatches to the AVX2 kernel when the CPU supports it;
-    /// the scalar fallback produces identical bits.
+    /// rounds). Dispatches to the encoding's AVX2 kernel when the CPU
+    /// supports it; the portable kernel produces identical bits.
     ///
     /// # Panics
     /// Panics on a ragged slab or a gene outside its slot's baked table —
     /// both indicate a genome from a different configuration space.
     pub fn predict_genomes_into(&self, genes: &[u16], out: &mut Vec<f64>) {
         self.check_genes(genes);
-        let mask32 = !self.masks32.is_empty() && mask32_enabled();
-        let quant = !self.quants.is_empty() && quant_enabled();
         #[cfg(target_arch = "x86_64")]
-        if simd_enabled() && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 confirmed at runtime; gene bounds checked above.
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 confirmed at runtime; gene bounds checked
+            // above; the kernel's record lane is the non-empty one.
             unsafe {
-                if mask32 {
-                    self.predict_mask32_avx2(genes, out);
-                } else if !self.masks.is_empty() {
-                    self.predict_mask_avx2(genes, out);
-                } else if quant {
+                if self.masks32.is_empty() {
                     self.predict_quant_avx2(genes, out);
                 } else {
-                    self.predict_avx2(genes, out);
+                    self.predict_mask32_avx2(genes, out);
                 }
             }
             return;
         }
-        if mask32 {
-            self.predict_mask32_scalar(genes, out);
-        } else if !self.masks.is_empty() {
-            self.predict_mask_scalar(genes, out);
-        } else if quant {
-            self.predict_quant_scalar(genes, out);
-        } else {
-            self.predict_scalar(genes, out);
-        }
+        self.predict_scalar(genes, out);
     }
 
-    /// Which node encoding [`GatherForest::predict_genomes_into`] runs on:
-    /// `"mask32"` (every slot ≤ 32 members, 8-byte records), `"mask"`
-    /// (every slot ≤ 64 members), `"quant"` (u16 rank compare) or
-    /// `"gather"` (float value gather). Observability for benches/tests.
+    /// The node encoding [`GatherForest::predict_genomes_into`] runs on:
+    /// `"mask32"` (every slot ≤ 32 members, 8-byte bitmask records) or
+    /// `"quant"` (u16 rank compare). Fixed at bake time by the layout.
     pub fn engine(&self) -> &'static str {
-        if !self.masks32.is_empty() && mask32_enabled() {
-            "mask32"
-        } else if !self.masks.is_empty() {
-            "mask"
-        } else if !self.quants.is_empty() && quant_enabled() {
+        if self.masks32.is_empty() {
             "quant"
         } else {
-            "gather"
+            "mask32"
         }
     }
 
-    /// The portable mask-select kernel (also the test oracle for the SIMD
-    /// path). Same contract as [`GatherForest::predict_genomes_into`].
+    /// The portable kernel of the baked encoding (also the test oracle
+    /// for the SIMD path). Same contract as
+    /// [`GatherForest::predict_genomes_into`].
     ///
     /// # Panics
     /// Panics on a ragged slab or an out-of-range gene.
@@ -634,13 +548,11 @@ impl GatherForest {
 
     /// Per-row mean and per-tree prediction variance over the compiled
     /// arena — the refinement loop's acquisition signal, computed without
-    /// materializing per-tree prediction vectors. Batch-major walk over
-    /// the packed `nodes` lane (the same block shape as
-    /// [`GatherForest::predict_genomes_scalar_into`]) with sum and
-    /// sum-of-squares accumulators updated per tree, in tree order, so
-    /// `mean` is bitwise identical to [`GatherForest::predict_genomes_into`]
-    /// on the scalar path and `var` is bitwise identical to brute force
-    /// over the source forest's fitted trees.
+    /// materializing per-tree prediction vectors. Runs the portable block
+    /// walk with sum and sum-of-squares accumulators updated per tree, in
+    /// tree order, so `mean` is bitwise identical to
+    /// [`GatherForest::predict_genomes_into`] and `var` is bitwise
+    /// identical to brute force over the source forest's fitted trees.
     ///
     /// # Panics
     /// Panics on a ragged slab or an out-of-range gene.
@@ -656,40 +568,13 @@ impl GatherForest {
         mean.resize(n, 0.0);
         var.clear();
         var.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        let mut sumsq = [0.0f64; BLOCK];
-        for (b, chunk) in mean.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            sumsq[..len].fill(0.0);
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.nodes[*at as usize];
-                        let g = rows[k * self.stride + (nd.slot_off >> 32) as usize] as u64;
-                        let xv = self.values[((nd.slot_off & 0xFFFF_FFFF) + g) as usize];
-                        let hit = (xv <= nd.threshold) as u64;
-                        let next = (nd.children >> (32 & hit.wrapping_sub(1))) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    let v = self.leaf[idx[k] as usize];
-                    *acc += v;
-                    sumsq[k] += v * v;
-                }
-            }
-            for (k, acc) in chunk.iter_mut().enumerate() {
-                let m = *acc / self.divisor;
-                *acc = m;
-                var[b * BLOCK + k] = (sumsq[k] / self.divisor - m * m).max(0.0);
-            }
+        self.walk_scalar(genes, |r, v| {
+            mean[r] += v;
+            var[r] += v * v;
+        });
+        for (m, v) in mean.iter_mut().zip(var.iter_mut()) {
+            *m /= self.divisor;
+            *v = (*v / self.divisor - *m * *m).max(0.0);
         }
     }
 
@@ -714,111 +599,72 @@ impl GatherForest {
     }
 
     fn predict_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
         out.clear();
-        out.resize(n, 0.0);
-        // Batch-major: the depth loop is OUTER, the rows inner. Every
-        // node step of the inner loop is independent across the block's
-        // rows, so the out-of-order window keeps ~BLOCK dependency
-        // chains in flight instead of serializing one row's walk — the
-        // same shape (and early exit) as `predict_matrix_into`.
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.nodes[*at as usize];
-                        let g = rows[k * self.stride + (nd.slot_off >> 32) as usize] as u64;
-                        let xv = self.values[((nd.slot_off & 0xFFFF_FFFF) + g) as usize];
-                        // arithmetic select: left in the low half, right
-                        // in the high; `xv <= NaN` is false, so leaves
-                        // always step to themselves
-                        let b = (xv <= nd.threshold) as u64;
-                        let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
+        out.resize(genes.len() / self.stride, 0.0);
+        self.walk_scalar(genes, |r, v| out[r] += v);
         for v in out.iter_mut() {
             *v /= self.divisor;
         }
     }
 
-    /// The mask-mode portable kernel: a step is `(mask >> gene) & 1` plus
-    /// the arithmetic child select — no value load, no float compare.
-    /// Bitwise identical to [`GatherForest::predict_scalar`] because the
-    /// masks ARE the precomputed comparisons.
-    fn predict_mask_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.masks[*at as usize];
-                        let g = rows[k * self.stride + (nd.meta >> 48) as usize];
-                        let b = (nd.mask >> g) & 1;
-                        let next = ((nd.meta >> (24 & b.wrapping_sub(1))) & 0xFF_FFFF) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
+    /// Runs [`GatherForest::walk_blocks`] with the baked encoding's node
+    /// step: `mask32` tests `(mask >> gene) & 1` and re-bases the selected
+    /// 13-bit relative child on the root; `quant` compares the gene's
+    /// `u16` rank against the node's threshold rank. Both select the
+    /// child arithmetically — no data-dependent branch.
+    fn walk_scalar(&self, genes: &[u16], leaf: impl FnMut(usize, f64)) {
+        if self.masks32.is_empty() {
+            self.walk_blocks(
+                genes,
+                |_, at, row| {
+                    let nd = &self.quants[at as usize];
+                    let g = row[(nd.key >> 48) as usize] as u64;
+                    let r = self.ranks[((nd.key & 0xFFFF_FFFF) + g) as usize];
+                    let b = ((r as u64) < ((nd.key >> 32) & 0xFFFF)) as u64;
+                    // left in the low half, right in the high
+                    (nd.children >> (32 & b.wrapping_sub(1))) as u32
+                },
+                leaf,
+            );
+        } else {
+            self.walk_blocks(
+                genes,
+                |root, at, row| {
+                    let nd = &self.masks32[at as usize];
+                    let b = (nd.mask >> row[(nd.meta >> 26) as usize]) & 1;
+                    // shift 13 selects the left field when the bit is
+                    // set, 0 the right field otherwise
+                    root + ((nd.meta >> (13 & b.wrapping_neg())) & 0x1FFF)
+                },
+                leaf,
+            );
         }
     }
 
-    /// The 32-bit mask-mode portable kernel: identical step semantics to
-    /// [`GatherForest::predict_mask_scalar`] on records half the size —
-    /// `(mask >> gene) & 1`, then `next = root + rel` where the 13-bit
-    /// relative child is selected arithmetically out of `meta`. Bitwise
-    /// identical because the masks encode the same precomputed
-    /// comparisons and the relative children resolve to the same nodes.
-    fn predict_mask32_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
+    /// The portable batch-major block walk shared by every scalar path:
+    /// for each block of up to [`BLOCK`] rows and each tree in order,
+    /// all rows of the block advance one `step(root, node, row)` per
+    /// depth level until the whole block has settled on leaves, then
+    /// `leaf(row, value)` receives each row's leaf value. The depth loop
+    /// is OUTER and the rows inner, so the steps of one level are
+    /// independent and the out-of-order window keeps ~BLOCK dependency
+    /// chains in flight — the same shape (and early exit) as
+    /// [`CompiledForest::predict_matrix_into`].
+    fn walk_blocks(
+        &self,
+        genes: &[u16],
+        step: impl Fn(u32, u32, &[u16]) -> u32,
+        mut leaf: impl FnMut(usize, f64),
+    ) {
         let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
+        for (b, rows) in genes.chunks(BLOCK * self.stride).enumerate() {
+            let len = rows.len() / self.stride;
             for (ti, &root) in self.roots.iter().enumerate() {
                 idx[..len].fill(root);
                 for _ in 0..self.depths[ti] {
                     let mut changed = 0u32;
                     for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.masks32[*at as usize];
-                        let g = rows[k * self.stride + (nd.meta >> 26) as usize];
-                        let b = (nd.mask >> g) & 1;
-                        // shift 13 selects the left field when the bit
-                        // is set, 0 the right field otherwise
-                        let next = root + ((nd.meta >> (13 & b.wrapping_neg())) & 0x1FFF);
+                        let next = step(root, *at, &rows[k * self.stride..]);
                         changed |= next ^ *at;
                         *at = next;
                     }
@@ -826,61 +672,18 @@ impl GatherForest {
                         break; // whole block settled on leaves
                     }
                 }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
+                for (k, &at) in idx[..len].iter().enumerate() {
+                    leaf(b * BLOCK + k, self.leaf[at as usize]);
                 }
             }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
-    /// The quantized-rank portable kernel: a step gathers one `u16` rank
-    /// and compares it against the node's 16-bit threshold rank — no
-    /// float load, no float compare. Bitwise identical to
-    /// [`GatherForest::predict_scalar`] because the rank order IS the
-    /// value order (see [`QuantNode`]).
-    fn predict_quant_scalar(&self, genes: &[u16], out: &mut Vec<f64>) {
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        let mut idx = [0u32; BLOCK];
-        for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let rows = &genes[b * BLOCK * self.stride..];
-            let len = chunk.len();
-            for (ti, &root) in self.roots.iter().enumerate() {
-                idx[..len].fill(root);
-                for _ in 0..self.depths[ti] {
-                    let mut changed = 0u32;
-                    for (k, at) in idx[..len].iter_mut().enumerate() {
-                        let nd = &self.quants[*at as usize];
-                        let g = rows[k * self.stride + (nd.key >> 48) as usize] as u64;
-                        let r = self.ranks[((nd.key & 0xFFFF_FFFF) + g) as usize];
-                        let b = ((r as u64) < ((nd.key >> 32) & 0xFFFF)) as u64;
-                        let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
-                        changed |= next ^ *at;
-                        *at = next;
-                    }
-                    if changed == 0 {
-                        break; // whole block settled on leaves
-                    }
-                }
-                for (k, acc) in chunk.iter_mut().enumerate() {
-                    *acc += self.leaf[idx[k] as usize];
-                }
-            }
-        }
-        for v in out.iter_mut() {
-            *v /= self.divisor;
         }
     }
 
     /// Quantized-rank AVX2 kernel: two 16-byte record gathers
     /// (`key`/`children`), the gene gather, and one 32-bit rank gather per
     /// step; the compare is an integer `vpcmpgtq` against the threshold
-    /// rank, so — like the mask kernel — the float unit stays idle and no
-    /// 8-byte value table is touched.
+    /// rank, so — like the mask32 kernel — the float unit stays idle and
+    /// no 8-byte value table is touched.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available, `genes` passed
@@ -991,119 +794,11 @@ impl GatherForest {
         }
     }
 
-    /// Mask-mode AVX2 kernel: per step and 4-lane group, two record
-    /// gathers (`mask`/`meta`) plus the gene gather — the comparison is an
-    /// integer shift-and-test (`vpsrlvq`), so the float unit is idle and a
-    /// step touches 16 record bytes instead of the value-gather kernel's
-    /// 24 (plus its table load).
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available, `genes` passed
-    /// [`GatherForest::check_genes`], and `masks` is non-empty.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn predict_mask_avx2(&self, genes: &[u16], out: &mut Vec<f64>) {
-        use std::arch::x86_64::*;
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        GENES32.with(|cell| {
-            let mut genes32 = cell.take();
-            for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-                let rows = &genes[b * BLOCK * self.stride..];
-                genes32.clear();
-                genes32.extend(rows[..chunk.len() * self.stride].iter().map(|&g| g as u32));
-                let groups = chunk.len() / 4;
-                let stride = self.stride as i64;
-                let node_base = self.masks.as_ptr() as *const i64;
-                let one = _mm256_set1_epi64x(1);
-                let m24 = _mm256_set1_epi64x(0xFF_FFFF);
-                for (ti, &root) in self.roots.iter().enumerate() {
-                    let mut idx = [_mm256_set1_epi64x(root as i64); BLOCK / 4];
-                    // settled groups stop gathering (self-loops only)
-                    let mut done = [false; BLOCK / 4];
-                    for _ in 0..self.depths[ti] {
-                        let mut unsettled = 0i32;
-                        for (gi, cur) in idx[..groups].iter_mut().enumerate() {
-                            if done[gi] {
-                                continue;
-                            }
-                            let base = (gi * 4) as i64 * stride;
-                            let row_base = _mm256_set_epi64x(
-                                base + 3 * stride,
-                                base + 2 * stride,
-                                base + stride,
-                                base,
-                            );
-                            // 16-byte records: field f of node i is the
-                            // 64-bit word at 2*i + f
-                            let n2 = _mm256_slli_epi64::<1>(*cur);
-                            let mask = _mm256_i64gather_epi64::<8>(node_base, n2);
-                            let meta = _mm256_i64gather_epi64::<8>(node_base.add(1), n2);
-                            let slot = _mm256_srli_epi64::<48>(meta);
-                            let gpos = _mm256_add_epi64(row_base, slot);
-                            let gene =
-                                _mm256_i64gather_epi32::<4>(genes32.as_ptr() as *const i32, gpos);
-                            let bit = _mm256_and_si256(
-                                _mm256_srlv_epi64(mask, _mm256_cvtepu32_epi64(gene)),
-                                one,
-                            );
-                            let go_left = _mm256_cmpeq_epi64(bit, one);
-                            let l = _mm256_and_si256(meta, m24);
-                            let r = _mm256_and_si256(_mm256_srli_epi64::<24>(meta), m24);
-                            let next = _mm256_castpd_si256(_mm256_blendv_pd(
-                                _mm256_castsi256_pd(r),
-                                _mm256_castsi256_pd(l),
-                                _mm256_castsi256_pd(go_left),
-                            ));
-                            let settled = _mm256_cmpeq_epi64(next, *cur);
-                            let sm = _mm256_movemask_epi8(settled);
-                            done[gi] = sm == -1;
-                            unsettled |= sm ^ -1;
-                            *cur = next;
-                        }
-                        if unsettled == 0 {
-                            break; // whole block settled on leaves
-                        }
-                    }
-                    for (gi, cur) in idx[..groups].iter().enumerate() {
-                        let leaves = _mm256_i64gather_pd::<8>(self.leaf.as_ptr(), *cur);
-                        let acc = _mm256_loadu_pd(chunk.as_ptr().add(gi * 4));
-                        _mm256_storeu_pd(
-                            chunk.as_mut_ptr().add(gi * 4),
-                            _mm256_add_pd(acc, leaves),
-                        );
-                    }
-                    // scalar tail: same ops, same bits
-                    for k in groups * 4..chunk.len() {
-                        let row = &rows[k * self.stride..(k + 1) * self.stride];
-                        let mut at = root;
-                        for _ in 0..self.depths[ti] {
-                            let nd = &self.masks[at as usize];
-                            let g = row[(nd.meta >> 48) as usize];
-                            let b = (nd.mask >> g) & 1;
-                            let next = ((nd.meta >> (24 & b.wrapping_sub(1))) & 0xFF_FFFF) as u32;
-                            if next == at {
-                                break;
-                            }
-                            at = next;
-                        }
-                        chunk[k] += self.leaf[at as usize];
-                    }
-                }
-            }
-            cell.replace(genes32);
-        });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
-
     /// 32-bit mask-mode AVX2 kernel: **eight** rows per vector on
     /// `epi32` lanes. A step needs two half-width record gathers (each
     /// 8-byte node is one 64-bit gather lane) plus the gene gather — 3
-    /// gathers per 8 rows, where the 16-byte mask kernel spends 3 per 4
-    /// rows, halving gather issue (the binding resource of traversal on
+    /// gathers per 8 rows, where a 16-byte record spends 3 per 4 rows,
+    /// halving gather issue (the binding resource of traversal on
     /// gather-weak cores). The children are root-relative 13-bit fields
     /// selected with `vpblendvb` and re-based by one `vpaddd`; every
     /// lane performs exactly the scalar step, so bits match.
@@ -1236,156 +931,12 @@ impl GatherForest {
             *v /= self.divisor;
         }
     }
-
-    /// Four rows per instruction stream: lane indices advance through
-    /// `vgatherqpd`/`vpgatherqd` loads, the compare is `vcmppd` and the
-    /// child select `vblendvpd` — the exact operations of the scalar
-    /// kernel, so every lane is bit-identical to it.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and `genes` passed
-    /// [`GatherForest::check_genes`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn predict_avx2(&self, genes: &[u16], out: &mut Vec<f64>) {
-        use std::arch::x86_64::*;
-        let n = genes.len() / self.stride;
-        out.clear();
-        out.resize(n, 0.0);
-        GENES32.with(|cell| {
-            let mut genes32 = cell.take();
-            for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-                let rows = &genes[b * BLOCK * self.stride..];
-                // widen this block's genes once so lane loads are 32-bit
-                genes32.clear();
-                genes32.extend(rows[..chunk.len() * self.stride].iter().map(|&g| g as u32));
-                let groups = chunk.len() / 4;
-                let stride = self.stride as i64;
-                for (ti, &root) in self.roots.iter().enumerate() {
-                    // Batch-major like the scalar kernel: the depth loop
-                    // is outer and every step level walks ALL lane groups
-                    // of the block, so the per-step gather chains of the
-                    // groups are independent and overlap in flight
-                    // (gather latency is hidden by breadth, not lanes).
-                    let mut idx = [_mm256_set1_epi64x(root as i64); BLOCK / 4];
-                    // settled groups stop gathering (self-loops only)
-                    let mut done = [false; BLOCK / 4];
-                    let node_base = self.nodes.as_ptr() as *const f64;
-                    let lo32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-                    for _ in 0..self.depths[ti] {
-                        let mut unsettled = 0i32;
-                        for (gi, cur) in idx[..groups].iter_mut().enumerate() {
-                            if done[gi] {
-                                continue;
-                            }
-                            let base = (gi * 4) as i64 * stride;
-                            let row_base = _mm256_set_epi64x(
-                                base + 3 * stride,
-                                base + 2 * stride,
-                                base + stride,
-                                base,
-                            );
-                            // packed 24-byte records: field f of node i
-                            // lives at 64-bit offset 3*i + f
-                            let n3 = _mm256_add_epi64(_mm256_add_epi64(*cur, *cur), *cur);
-                            let t = _mm256_i64gather_pd::<8>(node_base, n3);
-                            let slot_off =
-                                _mm256_i64gather_epi64::<8>((node_base as *const i64).add(1), n3);
-                            let children =
-                                _mm256_i64gather_epi64::<8>((node_base as *const i64).add(2), n3);
-                            let gpos =
-                                _mm256_add_epi64(row_base, _mm256_srli_epi64::<32>(slot_off));
-                            let gene =
-                                _mm256_i64gather_epi32::<4>(genes32.as_ptr() as *const i32, gpos);
-                            let vidx = _mm256_add_epi64(
-                                _mm256_and_si256(slot_off, lo32),
-                                _mm256_cvtepu32_epi64(gene),
-                            );
-                            let x = _mm256_i64gather_pd::<8>(self.values.as_ptr(), vidx);
-                            let go_left = _mm256_cmp_pd::<_CMP_LE_OQ>(x, t);
-                            let l = _mm256_and_si256(children, lo32);
-                            let r = _mm256_srli_epi64::<32>(children);
-                            let next = _mm256_castpd_si256(_mm256_blendv_pd(
-                                _mm256_castsi256_pd(r),
-                                _mm256_castsi256_pd(l),
-                                go_left,
-                            ));
-                            let settled = _mm256_cmpeq_epi64(next, *cur);
-                            let sm = _mm256_movemask_epi8(settled);
-                            done[gi] = sm == -1;
-                            unsettled |= sm ^ -1;
-                            *cur = next;
-                        }
-                        if unsettled == 0 {
-                            break; // whole block settled on leaves
-                        }
-                    }
-                    for (gi, cur) in idx[..groups].iter().enumerate() {
-                        let leaves = _mm256_i64gather_pd::<8>(self.leaf.as_ptr(), *cur);
-                        let acc = _mm256_loadu_pd(chunk.as_ptr().add(gi * 4));
-                        _mm256_storeu_pd(
-                            chunk.as_mut_ptr().add(gi * 4),
-                            _mm256_add_pd(acc, leaves),
-                        );
-                    }
-                    // scalar tail: same ops, same bits
-                    for k in groups * 4..chunk.len() {
-                        let row = &rows[k * self.stride..(k + 1) * self.stride];
-                        let mut at = root;
-                        for _ in 0..self.depths[ti] {
-                            let nd = &self.nodes[at as usize];
-                            let g = row[(nd.slot_off >> 32) as usize] as u64;
-                            let xv = self.values[((nd.slot_off & 0xFFFF_FFFF) + g) as usize];
-                            let b = (xv <= nd.threshold) as u64;
-                            let next = (nd.children >> (32 & b.wrapping_sub(1))) as u32;
-                            if next == at {
-                                break;
-                            }
-                            at = next;
-                        }
-                        chunk[k] += self.leaf[at as usize];
-                    }
-                }
-            }
-            cell.replace(genes32);
-        });
-        for v in out.iter_mut() {
-            *v /= self.divisor;
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 thread_local! {
     /// Reusable widened-gene scratch for the AVX2 kernel (one block).
     static GENES32: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Whether the SIMD gather kernel is allowed (`AUTOAX_FOREST_SIMD=0`
-/// forces the scalar kernel — a measurement/debug escape hatch; both
-/// kernels are bit-identical). Read once per process.
-#[cfg(target_arch = "x86_64")]
-fn simd_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOAX_FOREST_SIMD").map_or(true, |v| v.trim() != "0"))
-}
-
-/// Whether the quantized-rank kernels are allowed
-/// (`AUTOAX_FOREST_QUANT=0` forces the float value-gather kernels — an
-/// A/B measurement escape hatch; both paths are bit-identical). Read
-/// once per process.
-fn quant_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOAX_FOREST_QUANT").map_or(true, |v| v.trim() != "0"))
-}
-
-/// Whether the 8-byte/8-lane mask32 kernels are allowed
-/// (`AUTOAX_FOREST_MASK32=0` falls back to the 16-byte mask kernels —
-/// an A/B measurement escape hatch; both paths are bit-identical).
-/// Read once per process.
-fn mask32_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOAX_FOREST_MASK32").map_or(true, |v| v.trim() != "0"))
 }
 
 /// FNV-1a 64 running hash.
@@ -1529,6 +1080,13 @@ mod tests {
         }
     }
 
+    /// `rows` random genomes of `stride` genes, each below `members`.
+    fn random_genes(rows: usize, stride: usize, members: usize, st: &mut u64) -> Vec<u16> {
+        (0..rows * stride)
+            .map(|_| (lcg(st) * members as f64) as u16 % members as u16)
+            .collect()
+    }
+
     /// Materializes the feature matrix a layout + genome slab implies —
     /// the oracle the fused kernel must match bitwise.
     fn materialize(layout: &GatherLayout, genes: &[u16]) -> Matrix {
@@ -1543,6 +1101,89 @@ mod tests {
         Matrix::from_rows(&rows)
     }
 
+    /// A forest of `trees` trees fitted on the features `layout` implies
+    /// for `rows` random genomes.
+    fn fit_on_layout(
+        layout: &GatherLayout,
+        members: usize,
+        rows: usize,
+        trees: usize,
+        seed: u64,
+        st: &mut u64,
+    ) -> RandomForest {
+        let xt = materialize(layout, &random_genes(rows, layout.stride, members, st));
+        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
+        let mut f = RandomForest::new(seed).with_trees(trees);
+        f.fit(&xt, &y).unwrap();
+        f
+    }
+
+    /// A complete binary tree of the given depth (`2^(depth+1) - 1`
+    /// nodes) with random splits over `n_feats` features.
+    fn balanced_tree(depth: u32, n_feats: u32, st: &mut u64) -> Vec<NodeRepr> {
+        let splits = (1u32 << depth) - 1;
+        (0..2 * splits + 1)
+            .map(|i| {
+                if i < splits {
+                    NodeRepr::Split {
+                        feature: (lcg(st) * n_feats as f64) as u32 % n_feats,
+                        threshold: lcg(st),
+                        left: 2 * i + 1,
+                        right: 2 * i + 2,
+                    }
+                } else {
+                    NodeRepr::Leaf { value: lcg(st) }
+                }
+            })
+            .collect()
+    }
+
+    /// Every kernel of `gf` over `genes`, labelled: the portable kernel,
+    /// the encoding's AVX2 kernel where the CPU has AVX2, and the
+    /// dispatched entry point.
+    fn kernel_outputs(gf: &GatherForest, genes: &[u16]) -> Vec<(&'static str, Vec<f64>)> {
+        let mut scalar = Vec::new();
+        gf.predict_genomes_scalar_into(genes, &mut scalar);
+        let mut outs = vec![("scalar", scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut simd = Vec::new();
+            // SAFETY: AVX2 detected; the genes passed `check_genes` in
+            // the scalar call above; the kernel matches the baked lane.
+            unsafe {
+                if gf.masks32.is_empty() {
+                    gf.predict_quant_avx2(genes, &mut simd);
+                } else {
+                    gf.predict_mask32_avx2(genes, &mut simd);
+                }
+            }
+            outs.push(("avx2", simd));
+        }
+        let mut dispatched = Vec::new();
+        gf.predict_genomes_into(genes, &mut dispatched);
+        outs.push(("dispatched", dispatched));
+        outs
+    }
+
+    /// Asserts every kernel of `gf` reproduces the float-compare matrix
+    /// path of `cf` bit for bit.
+    fn assert_kernels_match_matrix(
+        cf: &CompiledForest,
+        gf: &GatherForest,
+        layout: &GatherLayout,
+        genes: &[u16],
+        label: &str,
+    ) {
+        let mut want = Vec::new();
+        cf.predict_matrix_into(&materialize(layout, genes), &mut want);
+        for (kernel, got) in kernel_outputs(gf, genes) {
+            assert_eq!(got.len(), want.len(), "{label}: {kernel} length");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{label}: {kernel} row {i}");
+            }
+        }
+    }
+
     #[test]
     fn fused_kernel_matches_matrix_path_bitwise() {
         let mut st = 77u64;
@@ -1551,20 +1192,12 @@ mod tests {
         let members = 6;
         let layout = random_layout(stride, lanes, members, &mut st);
         // fit on materialized features so the tree actually uses them
-        let train_genes: Vec<u16> = (0..200 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train_genes);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(3).with_trees(12);
-        f.fit(&xt, &y).unwrap();
+        let f = fit_on_layout(&layout, members, 200, 12, 3, &mut st);
         let gf = CompiledForest::from_forest(&f)
             .unwrap()
             .bake_gather(&layout)
             .unwrap();
-        let genes: Vec<u16> = (0..131 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
+        let genes = random_genes(131, stride, members, &mut st);
         let x = materialize(&layout, &genes);
         let mut fused = Vec::new();
         gf.predict_genomes_into(&genes, &mut fused);
@@ -1579,28 +1212,76 @@ mod tests {
     }
 
     #[test]
+    fn encoding_boundaries_pick_the_engine_and_agree_bitwise() {
+        // The mask32 budget ends at 32 members per slot; every wider
+        // slot runs on quant. 131 rows straddle the traversal block and
+        // leave SIMD lane-group tails.
+        let stride = 4;
+        for (members, engine) in [
+            (1, "mask32"),
+            (32, "mask32"),
+            (33, "quant"),
+            (64, "quant"),
+            (65, "quant"),
+            (200, "quant"),
+        ] {
+            let mut st = 101 + members as u64;
+            let layout = random_layout(stride, 2, members, &mut st);
+            let f = fit_on_layout(&layout, members, 140, 9, members as u64, &mut st);
+            let cf = CompiledForest::from_forest(&f).unwrap();
+            let gf = cf.bake_gather(&layout).unwrap();
+            let label = format!("{members} members");
+            assert_eq!(gf.engine(), engine, "{label}");
+            let genes = random_genes(131, stride, members, &mut st);
+            assert_kernels_match_matrix(&cf, &gf, &layout, &genes, &label);
+        }
+        // Narrow slots, but a tree wider than 8192 nodes overflows the
+        // 13-bit root-relative children: quant takes it. One level
+        // shallower (8191 nodes) still fits mask32.
+        let mut st = 5u64;
+        let members = 8;
+        let layout = random_layout(stride, 2, members, &mut st);
+        let n_feats = layout.values.len() as u32;
+        for (depth, engine) in [(12, "mask32"), (13, "quant")] {
+            let big = balanced_tree(depth, n_feats, &mut st);
+            let small = balanced_tree(3, n_feats, &mut st);
+            let cf = CompiledForest::from_node_lists(&[small, big], 2.0).unwrap();
+            let gf = cf.bake_gather(&layout).unwrap();
+            let label = format!("depth-{depth} tree");
+            assert_eq!(gf.engine(), engine, "{label}");
+            let genes = random_genes(131, stride, members, &mut st);
+            assert_kernels_match_matrix(&cf, &gf, &layout, &genes, &label);
+        }
+    }
+
+    /// `gf` re-baked on the `quant` encoding regardless of slot width —
+    /// the cross-encoding oracle for narrow layouts that bake `mask32`.
+    fn force_quant(cf: &CompiledForest, gf: &GatherForest, layout: &GatherLayout) -> GatherForest {
+        let (quants, ranks) = cf.bake_quant(layout).unwrap();
+        GatherForest {
+            masks32: Vec::new(),
+            quants,
+            ranks32: ranks.iter().map(|&r| r as u32).collect(),
+            ranks,
+            ..gf.clone()
+        }
+    }
+
+    #[test]
     fn wide_slots_fall_back_to_the_gather_kernel_bitwise() {
-        // one slot with > 64 members: the mask encoding cannot hold it,
-        // so the value-gather kernels must carry the prediction (and
-        // still match the pointer walk exactly)
+        // One slot with > 64 members: no mask width holds it, so the
+        // rank-gather (`quant`) kernels carry the prediction and still
+        // match the matrix path and the pointer walk exactly.
         let mut st = 13u64;
         let members = 70;
-        let layout = random_layout(3, 2, members, &mut st);
-        let train: Vec<u16> = (0..120 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(11).with_trees(9);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(gf.masks.is_empty(), "70-member slots must disable masks");
-        let genes: Vec<u16> = (0..77 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
+        let stride = 3;
+        let layout = random_layout(stride, 2, members, &mut st);
+        let f = fit_on_layout(&layout, members, 120, 9, 11, &mut st);
+        let cf = CompiledForest::from_forest(&f).unwrap();
+        let gf = cf.bake_gather(&layout).unwrap();
+        assert_eq!(gf.engine(), "quant", "70-member slots must disable masks");
+        let genes = random_genes(77, stride, members, &mut st);
+        assert_kernels_match_matrix(&cf, &gf, &layout, &genes, "70 members");
         let x = materialize(&layout, &genes);
         let mut fused = Vec::new();
         gf.predict_genomes_into(&genes, &mut fused);
@@ -1610,43 +1291,87 @@ mod tests {
     }
 
     #[test]
+    fn mid_width_slots_use_mask64_records_bitwise() {
+        // 33..=64 members: beyond the u32 mask. This band once baked
+        // 16-byte u64-mask records; it now bakes `quant`, which must
+        // reproduce the pointer walk exactly at the band's edges and
+        // inside it.
+        let stride = 3;
+        for members in [33, 40, 64] {
+            let mut st = 59 + members as u64;
+            let layout = random_layout(stride, 2, members, &mut st);
+            let f = fit_on_layout(&layout, members, 130, 9, 23, &mut st);
+            let cf = CompiledForest::from_forest(&f).unwrap();
+            let gf = cf.bake_gather(&layout).unwrap();
+            let label = format!("{members} members");
+            assert!(gf.masks32.is_empty(), "{label}: mask32 must stay off");
+            assert_eq!(gf.engine(), "quant", "{label}");
+            let genes = random_genes(97, stride, members, &mut st);
+            assert_kernels_match_matrix(&cf, &gf, &layout, &genes, &label);
+            let x = materialize(&layout, &genes);
+            let mut fused = Vec::new();
+            gf.predict_genomes_into(&genes, &mut fused);
+            for (i, row) in x.rows_iter().enumerate() {
+                let want = f.predict_row(row).to_bits();
+                assert_eq!(fused[i].to_bits(), want, "{label}: row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn layouts_beyond_the_quant_fields_are_rejected() {
+        let f = fit_forest(40, 2, 3, 4);
+        let cf = CompiledForest::from_forest(&f).unwrap();
+        // a table longer than u16::MAX: its ranks overflow u16
+        let long = GatherLayout {
+            stride: 2,
+            slot_of: vec![0, 1],
+            values: vec![
+                (0..=u16::MAX as usize)
+                    .map(|g| g as f64 / 65536.0)
+                    .collect(),
+                vec![0.1, 0.5, 0.9],
+            ],
+        };
+        assert!(cf.bake_gather(&long).is_err());
+        // a stride of 2^16: past mask32's 64 slots and quant's u16 slot
+        let wide = GatherLayout {
+            stride: 1 << 16,
+            slot_of: vec![0, 1],
+            values: vec![vec![0.2, 0.7], vec![0.1, 0.9]],
+        };
+        assert!(cf.bake_gather(&wide).is_err());
+        // the widest table quant holds still bakes
+        let widest = GatherLayout {
+            stride: 2,
+            slot_of: vec![0, 1],
+            values: vec![
+                (0..u16::MAX as usize).map(|g| g as f64 / 65536.0).collect(),
+                vec![0.1, 0.5, 0.9],
+            ],
+        };
+        assert_eq!(cf.bake_gather(&widest).unwrap().engine(), "quant");
+    }
+
+    #[test]
     fn quantized_kernel_engages_for_wide_slots_and_matches_bitwise() {
-        // Slots above the 64-member mask budget must bake the quantized
-        // rank encoding and predict identically to both the float scalar
-        // oracle and the source forest's pointer walk.
+        // Slots above the 32-member mask budget must bake the quantized
+        // rank encoding and predict identically to both the float-compare
+        // matrix path and the source forest's pointer walk.
         let mut st = 29u64;
         let members = 90;
         let layout = random_layout(4, 2, members, &mut st);
-        let train: Vec<u16> = (0..160 * 4)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(5).with_trees(11);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(gf.masks.is_empty(), "90-member slots must disable masks");
-        assert!(!gf.quants.is_empty(), "quant encoding must engage");
+        let f = fit_on_layout(&layout, members, 160, 11, 5, &mut st);
+        let cf = CompiledForest::from_forest(&f).unwrap();
+        let gf = cf.bake_gather(&layout).unwrap();
         assert_eq!(gf.engine(), "quant");
-        let genes: Vec<u16> = (0..133 * 4)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
+        let genes = random_genes(133, 4, members, &mut st);
+        assert_kernels_match_matrix(&cf, &gf, &layout, &genes, "quant");
         let x = materialize(&layout, &genes);
         let mut quant = Vec::new();
         gf.predict_genomes_into(&genes, &mut quant);
-        let mut float_oracle = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-        let mut quant_scalar = Vec::new();
-        gf.check_genes(&genes);
-        gf.predict_quant_scalar(&genes, &mut quant_scalar);
         for (i, row) in x.rows_iter().enumerate() {
-            let want = f.predict_row(row).to_bits();
-            assert_eq!(quant[i].to_bits(), want, "quant row {i}");
-            assert_eq!(float_oracle[i].to_bits(), want, "float row {i}");
-            assert_eq!(quant_scalar[i].to_bits(), want, "quant scalar row {i}");
+            assert_eq!(quant[i].to_bits(), f.predict_row(row).to_bits(), "row {i}");
         }
     }
 
@@ -1670,108 +1395,39 @@ mod tests {
                 })
                 .collect(),
         };
-        let train: Vec<u16> = (0..140 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
+        let xt = materialize(&layout, &random_genes(140, stride, members, &mut st));
         let y: Vec<f64> = xt
             .rows_iter()
             .map(|r| r.iter().enumerate().map(|(j, v)| v * (j + 1) as f64).sum())
             .collect();
         let mut f = RandomForest::new(17).with_trees(7);
         f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
+        let cf = CompiledForest::from_forest(&f).unwrap();
+        let gf = cf.bake_gather(&layout).unwrap();
         assert_eq!(gf.engine(), "quant");
-        let genes: Vec<u16> = (0..101 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let mut quant = Vec::new();
-        gf.predict_genomes_into(&genes, &mut quant);
-        let mut float_oracle = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-        for i in 0..quant.len() {
-            assert_eq!(quant[i].to_bits(), float_oracle[i].to_bits(), "row {i}");
-        }
+        let genes = random_genes(101, stride, members, &mut st);
+        assert_kernels_match_matrix(&cf, &gf, &layout, &genes, "duplicates");
     }
 
     #[test]
     fn mask32_kernel_engages_for_narrow_slots_and_matches_bitwise() {
         // ≤ 32 members per slot: the 8-byte record encoding must engage
-        // and every kernel (dispatched, mask32 scalar, mask64 scalar,
-        // float scalar) must reproduce the pointer walk bit for bit.
+        // and every kernel must reproduce the pointer walk bit for bit.
         let mut st = 41u64;
         let members = 13; // paper-scale slot width (quick Sobel: ≤ 13)
         let stride = 5;
         let layout = random_layout(stride, 2, members, &mut st);
-        let train: Vec<u16> = (0..150 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(7).with_trees(13);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(!gf.masks32.is_empty(), "mask32 encoding must engage");
-        assert!(!gf.masks.is_empty(), "mask64 fallback records still built");
+        let f = fit_on_layout(&layout, members, 150, 13, 7, &mut st);
+        let cf = CompiledForest::from_forest(&f).unwrap();
+        let gf = cf.bake_gather(&layout).unwrap();
         assert_eq!(gf.engine(), "mask32");
-        let genes: Vec<u16> = (0..131 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
+        let genes = random_genes(131, stride, members, &mut st);
         let x = materialize(&layout, &genes);
-        let mut dispatched = Vec::new();
-        gf.predict_genomes_into(&genes, &mut dispatched);
-        let mut float_oracle = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-        gf.check_genes(&genes);
-        let mut m32 = Vec::new();
-        gf.predict_mask32_scalar(&genes, &mut m32);
-        let mut m64 = Vec::new();
-        gf.predict_mask_scalar(&genes, &mut m64);
-        for (i, row) in x.rows_iter().enumerate() {
-            let want = f.predict_row(row).to_bits();
-            assert_eq!(dispatched[i].to_bits(), want, "dispatched row {i}");
-            assert_eq!(float_oracle[i].to_bits(), want, "float row {i}");
-            assert_eq!(m32[i].to_bits(), want, "mask32 scalar row {i}");
-            assert_eq!(m64[i].to_bits(), want, "mask64 scalar row {i}");
-        }
-    }
-
-    #[test]
-    fn mid_width_slots_use_mask64_records_bitwise() {
-        // 33..=64 members: beyond the u32 mask but within the u64 one —
-        // masks32 must stay empty and the 16-byte mask kernel carries
-        // the prediction, still matching the pointer walk exactly.
-        let mut st = 59u64;
-        let members = 40;
-        let layout = random_layout(3, 2, members, &mut st);
-        let train: Vec<u16> = (0..130 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(23).with_trees(9);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        assert!(gf.masks32.is_empty(), "40-member slots must disable mask32");
-        assert!(!gf.masks.is_empty(), "mask64 must still engage");
-        assert_eq!(gf.engine(), "mask");
-        let genes: Vec<u16> = (0..97 * 3)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let mut fused = Vec::new();
-        gf.predict_genomes_into(&genes, &mut fused);
-        for (i, row) in x.rows_iter().enumerate() {
-            assert_eq!(fused[i].to_bits(), f.predict_row(row).to_bits(), "row {i}");
+        for (kernel, got) in kernel_outputs(&gf, &genes) {
+            for (i, row) in x.rows_iter().enumerate() {
+                let want = f.predict_row(row).to_bits();
+                assert_eq!(got[i].to_bits(), want, "{kernel} row {i}");
+            }
         }
     }
 
@@ -1792,37 +1448,36 @@ mod tests {
 
     #[test]
     fn stats_kernel_matches_brute_force_mean_and_variance() {
-        let mut st = 31u64;
         let stride = 4;
-        let members = 5;
-        let layout = random_layout(stride, 2, members, &mut st);
-        let train_genes: Vec<u16> = (0..150 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let xt = materialize(&layout, &train_genes);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(9).with_trees(13);
-        f.fit(&xt, &y).unwrap();
-        let gf = CompiledForest::from_forest(&f)
-            .unwrap()
-            .bake_gather(&layout)
-            .unwrap();
-        // 131 rows straddles the BLOCK boundary, exercising the tail
-        let genes: Vec<u16> = (0..131 * stride)
-            .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-            .collect();
-        let x = materialize(&layout, &genes);
-        let (mut mean, mut var) = (Vec::new(), Vec::new());
-        gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
-        let mut scalar = Vec::new();
-        gf.predict_genomes_scalar_into(&genes, &mut scalar);
-        for (i, row) in x.rows_iter().enumerate() {
-            assert_eq!(mean[i].to_bits(), scalar[i].to_bits(), "mean row {i}");
-            assert_eq!(
-                var[i].to_bits(),
-                f.predict_variance_row(row).to_bits(),
-                "variance row {i}"
-            );
+        // one layout per encoding
+        for (members, engine) in [(5, "mask32"), (90, "quant")] {
+            let mut st = 31u64 + members as u64;
+            let layout = random_layout(stride, 2, members, &mut st);
+            let f = fit_on_layout(&layout, members, 150, 13, 9, &mut st);
+            let gf = CompiledForest::from_forest(&f)
+                .unwrap()
+                .bake_gather(&layout)
+                .unwrap();
+            assert_eq!(gf.engine(), engine);
+            // 131 rows straddles the BLOCK boundary, exercising the tail
+            let genes = random_genes(131, stride, members, &mut st);
+            let x = materialize(&layout, &genes);
+            let (mut mean, mut var) = (Vec::new(), Vec::new());
+            gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
+            let mut dispatched = Vec::new();
+            gf.predict_genomes_into(&genes, &mut dispatched);
+            for (i, row) in x.rows_iter().enumerate() {
+                assert_eq!(
+                    mean[i].to_bits(),
+                    dispatched[i].to_bits(),
+                    "{engine} mean row {i}"
+                );
+                assert_eq!(
+                    var[i].to_bits(),
+                    f.predict_variance_row(row).to_bits(),
+                    "{engine} variance row {i}"
+                );
+            }
         }
     }
 
@@ -1830,20 +1485,12 @@ mod tests {
     fn stats_kernel_variance_is_zero_for_a_single_tree() {
         let mut st = 8u64;
         let layout = random_layout(3, 1, 4, &mut st);
-        let train_genes: Vec<u16> = (0..60 * 3)
-            .map(|_| (lcg(&mut st) * 4.0) as u16 % 4)
-            .collect();
-        let xt = materialize(&layout, &train_genes);
-        let y: Vec<f64> = xt.rows_iter().map(|r| r.iter().sum()).collect();
-        let mut f = RandomForest::new(2).with_trees(1);
-        f.fit(&xt, &y).unwrap();
+        let f = fit_on_layout(&layout, 4, 60, 1, 2, &mut st);
         let gf = CompiledForest::from_forest(&f)
             .unwrap()
             .bake_gather(&layout)
             .unwrap();
-        let genes: Vec<u16> = (0..20 * 3)
-            .map(|_| (lcg(&mut st) * 4.0) as u16 % 4)
-            .collect();
+        let genes = random_genes(20, 3, 4, &mut st);
         let (mut mean, mut var) = (Vec::new(), Vec::new());
         gf.predict_genomes_stats_into(&genes, &mut mean, &mut var);
         assert!(var.iter().all(|&v| v == 0.0), "single tree has no spread");
@@ -1854,23 +1501,22 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The compiled kernels are bitwise identical to the pointer walk
-        /// across random tree depths, widths, batch sizes and both the
-        /// matrix and the fused gather path (SIMD and scalar).
+        /// across random tree depths, every slot width inside the mask32
+        /// budget, batch sizes and both the matrix and the fused gather
+        /// path (every kernel the CPU runs) — including batches
+        /// straddling the traversal block and the 8-lane group tails.
         #[test]
         fn compiled_paths_match_pointer_walk(
             seed in 0u64..1000,
             trees in 1usize..14,
             depth in 1usize..12,
             stride in 1usize..6,
-            members in 2usize..7,
+            members in 2usize..33,
             batch in 1usize..150,
         ) {
             let mut st = seed.wrapping_mul(2654435761).wrapping_add(1);
             let layout = random_layout(stride, 2, members, &mut st);
-            let train: Vec<u16> = (0..90 * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let xt = materialize(&layout, &train);
+            let xt = materialize(&layout, &random_genes(90, stride, members, &mut st));
             let y: Vec<f64> = xt
                 .rows_iter()
                 .map(|r| r.iter().enumerate().map(|(j, v)| v * ((j % 3) as f64 + 1.0)).sum())
@@ -1880,44 +1526,38 @@ mod tests {
             f.fit(&xt, &y).unwrap();
             let cf = CompiledForest::from_forest(&f).unwrap();
             let gf = cf.bake_gather(&layout).unwrap();
-            let genes: Vec<u16> = (0..batch * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
+            prop_assert_eq!(gf.engine(), "mask32");
+            let genes = random_genes(batch, stride, members, &mut st);
             let x = materialize(&layout, &genes);
             let mut m_out = Vec::new();
             cf.predict_matrix_into(&x, &mut m_out);
-            let mut fused = Vec::new();
-            gf.predict_genomes_into(&genes, &mut fused);
-            let mut scalar = Vec::new();
-            gf.predict_genomes_scalar_into(&genes, &mut scalar);
+            let outs = kernel_outputs(&gf, &genes);
             for (i, row) in x.rows_iter().enumerate() {
                 let want = f.predict_row(row).to_bits();
                 prop_assert_eq!(m_out[i].to_bits(), want);
-                prop_assert_eq!(fused[i].to_bits(), want);
-                prop_assert_eq!(scalar[i].to_bits(), want);
+                for (_, got) in &outs {
+                    prop_assert_eq!(got[i].to_bits(), want);
+                }
             }
         }
 
         /// The quantized-rank kernels (scalar and, where available, AVX2)
-        /// are bitwise identical to the float-compare kernels and the
-        /// pointer walk across slot widths beyond the mask budget, random
-        /// forests and batch sizes — including batches straddling the
-        /// traversal block and SIMD lane-group tails.
+        /// are bitwise identical to the float-compare matrix path and the
+        /// pointer walk across slot widths beyond the mask32 budget,
+        /// random forests and batch sizes — including batches straddling
+        /// the traversal block and SIMD lane-group tails.
         #[test]
         fn quantized_kernels_match_float_compare_bitwise(
             seed in 0u64..1000,
             trees in 1usize..10,
             depth in 1usize..10,
             stride in 1usize..5,
-            members in 65usize..140,
+            members in 33usize..140,
             batch in 1usize..150,
         ) {
             let mut st = seed.wrapping_mul(0x9E3779B9).wrapping_add(7);
             let layout = random_layout(stride, 2, members, &mut st);
-            let train: Vec<u16> = (0..80 * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let xt = materialize(&layout, &train);
+            let xt = materialize(&layout, &random_genes(80, stride, members, &mut st));
             let y: Vec<f64> = xt
                 .rows_iter()
                 .map(|r| r.iter().enumerate().map(|(j, v)| v * ((j % 2) as f64 + 1.0)).sum())
@@ -1925,36 +1565,30 @@ mod tests {
             let mut f = RandomForest::new(seed).with_trees(trees);
             f.tree_config.max_depth = depth;
             f.fit(&xt, &y).unwrap();
-            let gf = CompiledForest::from_forest(&f)
-                .unwrap()
-                .bake_gather(&layout)
-                .unwrap();
-            prop_assert!(gf.masks.is_empty());
-            prop_assert!(!gf.quants.is_empty());
-            let genes: Vec<u16> = (0..batch * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let mut dispatched = Vec::new();
-            gf.predict_genomes_into(&genes, &mut dispatched);
-            let mut float_oracle = Vec::new();
-            gf.predict_genomes_scalar_into(&genes, &mut float_oracle);
-            let mut quant_scalar = Vec::new();
-            gf.check_genes(&genes);
-            gf.predict_quant_scalar(&genes, &mut quant_scalar);
+            let cf = CompiledForest::from_forest(&f).unwrap();
+            let gf = cf.bake_gather(&layout).unwrap();
+            prop_assert_eq!(gf.engine(), "quant");
+            let genes = random_genes(batch, stride, members, &mut st);
             let x = materialize(&layout, &genes);
+            let mut float_compare = Vec::new();
+            cf.predict_matrix_into(&x, &mut float_compare);
+            let outs = kernel_outputs(&gf, &genes);
             for (i, row) in x.rows_iter().enumerate() {
                 let want = f.predict_row(row).to_bits();
-                prop_assert_eq!(dispatched[i].to_bits(), want);
-                prop_assert_eq!(float_oracle[i].to_bits(), want);
-                prop_assert_eq!(quant_scalar[i].to_bits(), want);
+                prop_assert_eq!(float_compare[i].to_bits(), want);
+                for (_, got) in &outs {
+                    prop_assert_eq!(got[i].to_bits(), want);
+                }
             }
         }
 
-        /// The 8-byte mask32 kernels (scalar and, where available, AVX2
-        /// 8-lane) are bitwise identical to the 16-byte mask kernels and
-        /// the pointer walk across every slot width inside the u32 mask
-        /// budget, random forests and batch sizes — including batches
-        /// straddling the traversal block and the 8-lane group tails.
+        /// The mask32 kernels (scalar and, where available, AVX2 8-lane)
+        /// are bitwise identical to the wider-slot encoding baked from
+        /// the same forest (`quant`, which took over from the u64-mask
+        /// records) and to the pointer walk, across every slot width
+        /// inside the u32 mask budget, random forests and batch sizes —
+        /// including batches straddling the traversal block and the
+        /// 8-lane group tails.
         #[test]
         fn mask32_kernels_match_mask64_and_pointer_walk(
             seed in 0u64..1000,
@@ -1966,10 +1600,7 @@ mod tests {
         ) {
             let mut st = seed.wrapping_mul(0x85EB_CA6B).wrapping_add(3);
             let layout = random_layout(stride, 2, members, &mut st);
-            let train: Vec<u16> = (0..80 * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let xt = materialize(&layout, &train);
+            let xt = materialize(&layout, &random_genes(80, stride, members, &mut st));
             let y: Vec<f64> = xt
                 .rows_iter()
                 .map(|r| r.iter().enumerate().map(|(j, v)| v * ((j % 2) as f64 + 1.0)).sum())
@@ -1977,28 +1608,20 @@ mod tests {
             let mut f = RandomForest::new(seed).with_trees(trees);
             f.tree_config.max_depth = depth;
             f.fit(&xt, &y).unwrap();
-            let gf = CompiledForest::from_forest(&f)
-                .unwrap()
-                .bake_gather(&layout)
-                .unwrap();
-            prop_assert!(!gf.masks32.is_empty());
-            prop_assert!(!gf.masks.is_empty());
-            let genes: Vec<u16> = (0..batch * stride)
-                .map(|_| (lcg(&mut st) * members as f64) as u16 % members as u16)
-                .collect();
-            let mut dispatched = Vec::new();
-            gf.predict_genomes_into(&genes, &mut dispatched);
-            gf.check_genes(&genes);
-            let mut m32 = Vec::new();
-            gf.predict_mask32_scalar(&genes, &mut m32);
-            let mut m64 = Vec::new();
-            gf.predict_mask_scalar(&genes, &mut m64);
+            let cf = CompiledForest::from_forest(&f).unwrap();
+            let gf = cf.bake_gather(&layout).unwrap();
+            prop_assert_eq!(gf.engine(), "mask32");
+            let gq = force_quant(&cf, &gf, &layout);
+            prop_assert_eq!(gq.engine(), "quant");
+            let genes = random_genes(batch, stride, members, &mut st);
             let x = materialize(&layout, &genes);
+            let m32 = kernel_outputs(&gf, &genes);
+            let wide = kernel_outputs(&gq, &genes);
             for (i, row) in x.rows_iter().enumerate() {
                 let want = f.predict_row(row).to_bits();
-                prop_assert_eq!(dispatched[i].to_bits(), want);
-                prop_assert_eq!(m32[i].to_bits(), want);
-                prop_assert_eq!(m64[i].to_bits(), want);
+                for (_, got) in m32.iter().chain(&wide) {
+                    prop_assert_eq!(got[i].to_bits(), want);
+                }
             }
         }
     }
