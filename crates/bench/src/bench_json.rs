@@ -234,15 +234,13 @@ fn take_value(text: &str, i: usize) -> Option<usize> {
 /// `path`, preserving every other section verbatim. A missing or
 /// malformed file starts fresh with just this section.
 pub fn upsert_section(path: &Path, section: &str, value: &Json) {
-    let mut sections: Vec<(String, String)> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| split_top_level(&text))
-        .unwrap_or_default();
-    let rendered = value.render();
-    match sections.iter_mut().find(|(k, _)| k == section) {
-        Some((_, v)) => *v = rendered,
-        None => sections.push((section.to_string(), rendered)),
-    }
+    upsert_raw(path, section, value.render());
+}
+
+/// [`upsert_section`] with the section's value already rendered.
+fn upsert_raw(path: &Path, section: &str, raw: String) {
+    let mut sections = read_sections(path);
+    set_raw(&mut sections, section, raw);
     let mut out = String::from("{\n");
     for (i, (k, v)) in sections.iter().enumerate() {
         let mut key = String::new();
@@ -260,12 +258,61 @@ pub fn upsert_section(path: &Path, section: &str, value: &Json) {
     std::fs::write(path, out).expect("write BENCH json");
 }
 
+/// Writes (or replaces) entry `key` of the object section `section` at
+/// `path`, preserving the section's other entries and every other
+/// section verbatim — so a record keyed by scale keeps the other scales'
+/// records. A section that is not an object starts fresh.
+pub fn upsert_entry(path: &Path, section: &str, key: &str, value: &Json) {
+    let mut entries = read_sections(path)
+        .into_iter()
+        .find(|(k, _)| k == section)
+        .and_then(|(_, raw)| split_top_level(&raw))
+        .unwrap_or_default();
+    set_raw(&mut entries, key, value.render());
+    let mut obj = String::from("{");
+    for (i, (k, v)) in entries.iter().enumerate() {
+        if i > 0 {
+            obj.push_str(", ");
+        }
+        render_str(k, &mut obj);
+        obj.push_str(": ");
+        obj.push_str(v);
+    }
+    obj.push('}');
+    upsert_raw(path, section, obj);
+}
+
+/// The top-level `(key, raw value)` pairs of the artifact at `path`
+/// (empty when the file is missing or malformed).
+fn read_sections(path: &Path) -> Vec<(String, String)> {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| split_top_level(&text))
+        .unwrap_or_default()
+}
+
+/// Replaces the raw value of `key`, appending the key when absent.
+fn set_raw(pairs: &mut Vec<(String, String)>, key: &str, raw: String) {
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, v)) => *v = raw,
+        None => pairs.push((key.to_string(), raw)),
+    }
+}
+
 /// Writes (or replaces) `section` in `bench_out/BENCH_pipeline.json` and
 /// reports the path.
 pub fn write_bench_section(section: &str, value: &Json) {
     let path = crate::out_dir().join("BENCH_pipeline.json");
     upsert_section(&path, section, value);
     println!("[json] updated section `{section}` of {}", path.display());
+}
+
+/// Writes (or replaces) entry `key` of `section` in
+/// `bench_out/BENCH_pipeline.json` and reports the path.
+pub fn write_bench_entry(section: &str, key: &str, value: &Json) {
+    let path = crate::out_dir().join("BENCH_pipeline.json");
+    upsert_entry(&path, section, key, value);
+    println!("[json] updated `{section}.{key}` of {}", path.display());
 }
 
 /// The shared per-run record: per-step timings (seconds), search
@@ -394,6 +441,31 @@ mod tests {
             vec![
                 ("table4".to_string(), r#"{"hv": 0.75}"#.to_string()),
                 ("table5".to_string(), r#"{"apps": 3}"#.to_string()),
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn upsert_entry_keeps_sibling_entries_and_sections() {
+        let dir = std::env::temp_dir().join(format!("axbench-entry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_pipeline.json");
+        let _ = std::fs::remove_file(&path);
+        let rec = |s: f64| Json::Obj(vec![("total_s".into(), Json::Num(s))]);
+        upsert_section(&path, "table4", &rec(9.0));
+        upsert_entry(&path, "library_build", "quick", &rec(0.5));
+        upsert_entry(&path, "library_build", "default", &rec(3.5));
+        upsert_entry(&path, "library_build", "quick", &rec(0.25));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            split_top_level(&text).expect("well-formed artifact"),
+            vec![
+                ("table4".to_string(), r#"{"total_s": 9}"#.to_string()),
+                (
+                    "library_build".to_string(),
+                    r#"{"quick": {"total_s": 0.25}, "default": {"total_s": 3.5}}"#.to_string()
+                ),
             ]
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -32,7 +32,9 @@
 
 pub mod bench_json;
 
-pub use bench_json::{pipeline_record, upsert_section, write_bench_section, Json};
+pub use bench_json::{
+    pipeline_record, upsert_entry, upsert_section, write_bench_entry, write_bench_section, Json,
+};
 
 use autoax::pipeline::PipelineTimings;
 use autoax_circuit::charlib::{ClassCounts, LibraryConfig};

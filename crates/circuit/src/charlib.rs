@@ -10,6 +10,13 @@
 //! methodology consumes: a set of *fully characterized* black-box circuits
 //! per operation.
 //!
+//! Building a class costs in proportion to the circuits it keeps. The
+//! generators over-produce candidates, but [`build_class`] characterizes
+//! them in ordered chunks and stops once the class is full; since the
+//! keep-loop consumes results in candidate order either way, the library is
+//! byte-identical to characterizing every candidate and independent of the
+//! chunk length and the worker count.
+//!
 //! [`ClassCounts::paper`] reproduces the library sizes of Table 2.
 
 use crate::approx::adders::{self, AdderKind};
@@ -24,9 +31,10 @@ use crate::sim;
 use crate::synth::{self, HwReport};
 use crate::util::{mask, splitmix64, stimulus_pairs};
 use crate::{OpKind, OpSignature};
-use autoax_exec::par_map;
+use autoax_exec::{par_map_coarse, thread_count};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Index of a circuit inside its operation class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -227,13 +235,24 @@ impl ComponentLibrary {
 
 /// Builds the full six-class library of the paper.
 pub fn build_library(cfg: &LibraryConfig) -> ComponentLibrary {
+    build_library_timed(cfg, |_, _| {})
+}
+
+/// [`build_library`], reporting each class's build time to `on_class` as
+/// soon as the class is done.
+pub fn build_library_timed(
+    cfg: &LibraryConfig,
+    mut on_class: impl FnMut(OpSignature, Duration),
+) -> ComponentLibrary {
     let mut lib = ComponentLibrary::default();
     for (i, sig) in OpSignature::PAPER_CLASSES.into_iter().enumerate() {
         let count = cfg.counts.for_signature(sig);
         if count == 0 {
             continue;
         }
+        let t = Instant::now();
         let entries = build_class(sig, count, cfg, cfg.seed.wrapping_add(i as u64 * 0x9E37));
+        on_class(sig, t.elapsed());
         lib.insert_class(sig, entries);
     }
     lib
@@ -245,22 +264,48 @@ pub fn build_library(cfg: &LibraryConfig) -> ComponentLibrary {
 /// seeded fill cannot produce `target` distinct, non-garbage behaviours in
 /// eight rounds, the class is returned smaller (never happens at the
 /// paper's scales).
+///
+/// The cost is proportional to the circuits kept, not to the candidates
+/// generated: each round is characterized in ordered chunks of the
+/// remaining need (at least one per worker thread), and characterization
+/// stops as soon as the class is full. Because characterization is pure
+/// and the chunks are consumed in candidate order, the kept entries — and
+/// the duplicate set, the round seeds and every later round's need — are
+/// exactly those of characterizing whole rounds, whatever the chunk
+/// length.
 pub fn build_class(
     sig: OpSignature,
     target: usize,
     cfg: &LibraryConfig,
     seed: u64,
 ) -> Vec<CircuitEntry> {
-    let mut entries: Vec<CircuitEntry> = Vec::with_capacity(target);
-    let mut seen: HashSet<u64> = HashSet::new();
+    let workers = thread_count();
+    build_class_chunked(sig, target, cfg, seed, |need| need.max(workers))
+}
+
+/// [`build_class`] with the chunk length as a function of the remaining
+/// need.
+fn build_class_chunked(
+    sig: OpSignature,
+    target: usize,
+    cfg: &LibraryConfig,
+    seed: u64,
+    chunk_len: impl Fn(usize) -> usize,
+) -> Vec<CircuitEntry> {
+    let mut class = ClassFill {
+        target,
+        max_wce: cfg.max_wce_frac * sig.output_range(),
+        seen: HashSet::new(),
+        entries: Vec::with_capacity(target),
+    };
     let mut round_seed = seed;
 
     // Round 0 uses the structured families; later rounds only random fill.
     for round in 0..8 {
-        if entries.len() >= target {
+        if class.is_full() {
             break;
         }
-        let need = target - entries.len();
+        let need = class.need();
         let candidates = if round == 0 {
             let mut c = structured_candidates(sig);
             let fill_n = need.saturating_sub(c.len()) + need / 4;
@@ -271,21 +316,58 @@ pub fn build_class(
         };
         round_seed = round_seed.wrapping_add(0xABCD_EF01);
 
-        let characterized = par_map(&candidates, |b| characterize(sig, b, cfg));
-        for (behavior, (err, hw, fingerprint)) in candidates.into_iter().zip(characterized) {
-            if entries.len() >= target {
+        let mut rest = candidates.into_iter();
+        while !class.is_full() {
+            let chunk: Vec<Behavior> = rest.by_ref().take(chunk_len(class.need()).max(1)).collect();
+            if chunk.is_empty() {
                 break;
             }
-            if !seen.insert(fingerprint) {
+            let characterized = par_map_coarse(&chunk, |b| characterize(sig, b, cfg));
+            class.keep(chunk.into_iter().zip(characterized));
+        }
+    }
+    debug_assert!(
+        class.entries[0].is_exact(),
+        "entry 0 must be the exact circuit"
+    );
+    class.entries
+}
+
+/// The growing class of [`build_class`]: its entries so far and the
+/// fingerprints of every candidate it has consumed.
+struct ClassFill {
+    target: usize,
+    max_wce: f64,
+    seen: HashSet<u64>,
+    entries: Vec<CircuitEntry>,
+}
+
+impl ClassFill {
+    fn is_full(&self) -> bool {
+        self.entries.len() >= self.target
+    }
+
+    fn need(&self) -> usize {
+        self.target - self.entries.len()
+    }
+
+    /// Consumes characterized candidates in order, keeping each that is
+    /// functionally new and not garbage, until the class is full.
+    fn keep(&mut self, characterized: impl IntoIterator<Item = (Behavior, Characterized)>) {
+        for (behavior, (err, hw, fingerprint)) in characterized {
+            if self.is_full() {
+                break;
+            }
+            if !self.seen.insert(fingerprint) {
                 continue; // functional duplicate
             }
-            let is_exact_slot = entries.is_empty();
-            if !is_exact_slot && err.wce as f64 > cfg.max_wce_frac * sig.output_range() {
+            let is_exact_slot = self.entries.is_empty();
+            if !is_exact_slot && err.wce as f64 > self.max_wce {
                 continue; // garbage
             }
             let label = behavior.label();
-            entries.push(CircuitEntry {
-                id: CircuitId(entries.len() as u32),
+            self.entries.push(CircuitEntry {
+                id: CircuitId(self.entries.len() as u32),
                 behavior,
                 label,
                 hw,
@@ -293,9 +375,10 @@ pub fn build_class(
             });
         }
     }
-    debug_assert!(entries[0].is_exact(), "entry 0 must be the exact circuit");
-    entries
 }
+
+/// What [`characterize`] measures of one candidate.
+type Characterized = (ErrorMetrics, HwReport, u64);
 
 /// Characterizes one behaviour: error metrics, hardware report and a
 /// fingerprint for deduplication. The fingerprint combines the functional
@@ -306,11 +389,7 @@ pub fn build_class(
 /// Everything goes through the circuit's netlist and the bit-parallel
 /// simulator, so characterization also exercises the same structure that
 /// hardware analysis sees.
-fn characterize(
-    sig: OpSignature,
-    behavior: &Behavior,
-    cfg: &LibraryConfig,
-) -> (ErrorMetrics, HwReport, u64) {
+fn characterize(sig: OpSignature, behavior: &Behavior, cfg: &LibraryConfig) -> Characterized {
     let netlist = behavior.build_netlist();
     let (_, hw) = synth::synthesize(&netlist);
     let wa = sig.width_a as u32;
@@ -656,6 +735,125 @@ mod tests {
 
     fn tiny_cfg() -> LibraryConfig {
         LibraryConfig::tiny()
+    }
+
+    /// The characterize-everything build `build_class` replaced, kept as
+    /// the oracle for its early stop: every candidate of a round is
+    /// characterized before the keep-loop consumes any. Also returns the
+    /// number of rounds that ran.
+    fn build_class_oracle(
+        sig: OpSignature,
+        target: usize,
+        cfg: &LibraryConfig,
+        seed: u64,
+    ) -> (Vec<CircuitEntry>, usize) {
+        let mut entries: Vec<CircuitEntry> = Vec::with_capacity(target);
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut round_seed = seed;
+        let mut rounds = 0;
+
+        for round in 0..8 {
+            if entries.len() >= target {
+                break;
+            }
+            rounds += 1;
+            let need = target - entries.len();
+            let candidates = if round == 0 {
+                let mut c = structured_candidates(sig);
+                let fill_n = need.saturating_sub(c.len()) + need / 4;
+                c.extend(fill_candidates(sig, fill_n, cfg, round_seed));
+                c
+            } else {
+                fill_candidates(sig, need + need / 3 + 8, cfg, round_seed)
+            };
+            round_seed = round_seed.wrapping_add(0xABCD_EF01);
+
+            let characterized = autoax_exec::par_map(&candidates, |b| characterize(sig, b, cfg));
+            for (behavior, (err, hw, fingerprint)) in candidates.into_iter().zip(characterized) {
+                if entries.len() >= target {
+                    break;
+                }
+                if !seen.insert(fingerprint) {
+                    continue;
+                }
+                let is_exact_slot = entries.is_empty();
+                if !is_exact_slot && err.wce as f64 > cfg.max_wce_frac * sig.output_range() {
+                    continue;
+                }
+                let label = behavior.label();
+                entries.push(CircuitEntry {
+                    id: CircuitId(entries.len() as u32),
+                    behavior,
+                    label,
+                    hw,
+                    err,
+                });
+            }
+        }
+        (entries, rounds)
+    }
+
+    /// Asserts two builds of a class agree entry by entry, floats bitwise.
+    fn assert_bitwise_equal(got: &[CircuitEntry], want: &[CircuitEntry], what: &str) {
+        let hw_bits = |e: &CircuitEntry| {
+            let h = &e.hw;
+            let floats = [h.area, h.delay, h.power, h.energy].map(f64::to_bits);
+            (floats, h.cells)
+        };
+        let err_bits = |e: &CircuitEntry| {
+            let m = &e.err;
+            let floats = [m.mae, m.er, m.mse, m.var_ed, m.mre].map(f64::to_bits);
+            (floats, m.wce, m.samples)
+        };
+        assert_eq!(got.len(), want.len(), "{what}: class size");
+        for (g, w) in got.iter().zip(want) {
+            let at = format!("{what}, entry {}", w.id.0);
+            assert_eq!(g.id, w.id, "{at}: id");
+            assert_eq!(g.behavior, w.behavior, "{at}: behavior");
+            assert_eq!(g.label, w.label, "{at}: label");
+            assert_eq!(hw_bits(g), hw_bits(w), "{at}: hw");
+            assert_eq!(err_bits(g), err_bits(w), "{at}: err");
+        }
+    }
+
+    /// Builds `sig` with the early stop at chunk lengths 1, 7, a whole
+    /// round and the runtime rule, and checks each against the oracle.
+    /// Returns the number of rounds the oracle ran.
+    fn assert_early_stop_matches_oracle(
+        sig: OpSignature,
+        target: usize,
+        cfg: &LibraryConfig,
+        seed: u64,
+    ) -> usize {
+        let (want, rounds) = build_class_oracle(sig, target, cfg, seed);
+        for chunk in [1, 7, usize::MAX] {
+            let got = build_class_chunked(sig, target, cfg, seed, |_| chunk);
+            assert_bitwise_equal(&got, &want, &format!("{sig} seed {seed} chunk {chunk}"));
+        }
+        let got = build_class(sig, target, cfg, seed);
+        assert_bitwise_equal(&got, &want, &format!("{sig} seed {seed} build_class"));
+        rounds
+    }
+
+    #[test]
+    fn early_stop_matches_characterize_everything_at_tiny_sizes() {
+        let cfg = tiny_cfg();
+        for master in [cfg.seed, 7, 0xDEC0DE] {
+            for (i, sig) in OpSignature::PAPER_CLASSES.into_iter().enumerate() {
+                let seed = master.wrapping_add(i as u64 * 0x9E37);
+                assert_early_stop_matches_oracle(sig, cfg.counts.for_signature(sig), &cfg, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn early_stop_matches_characterize_everything_across_fill_rounds() {
+        let cfg = LibraryConfig::default();
+        let rounds = assert_early_stop_matches_oracle(OpSignature::ADD8, 600, &cfg, cfg.seed);
+        assert!(
+            rounds >= 2,
+            "the case must need a second fill round, ran {rounds}"
+        );
     }
 
     #[test]

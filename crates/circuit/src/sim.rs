@@ -35,13 +35,72 @@ pub fn sim_all_nets(netlist: &Netlist, inputs: &[u64]) -> Vec<u64> {
     );
     let mut values: Vec<u64> = Vec::with_capacity(netlist.net_count());
     values.extend_from_slice(inputs);
+    eval_gates(netlist, &mut values);
+    values
+}
+
+/// Appends the word of every gate output to `values`, which must hold
+/// exactly the primary-input words. Callers simulating many blocks clear
+/// and refill one buffer, so the hot loops never allocate.
+fn eval_gates(netlist: &Netlist, values: &mut Vec<u64>) {
+    debug_assert_eq!(values.len(), netlist.input_count());
     for gate in netlist.gates() {
         let a = values[gate.ins[0].index()];
         let b = values[gate.ins[1].index()];
         let c = values[gate.ins[2].index()];
         values.push(gate.kind.eval(a, b, c));
     }
-    values
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of row `r`
+/// holds what was bit `r` of row `c`. Turns 64 per-net lane words into 64
+/// per-lane integers (and back) in six passes of 32 word swaps instead of
+/// 4096 bit moves.
+fn transpose64(rows: &mut [u64; 64]) {
+    swap_blocks::<32>(rows, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(rows, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(rows, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(rows, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(rows, 0x5555_5555_5555_5555);
+}
+
+/// One transpose pass: within every band of `2·W` rows, swaps the high
+/// `W` columns of each `2·W`-column block of the upper rows with the low
+/// ones (`low` selects them) of the rows `W` further down.
+#[inline(always)]
+fn swap_blocks<const W: usize>(rows: &mut [u64; 64], low: u64) {
+    for band in rows.chunks_exact_mut(2 * W) {
+        let (upper, lower) = band.split_at_mut(W);
+        for (u, l) in upper.iter_mut().zip(lower) {
+            let t = ((*u >> W) ^ *l) & low;
+            *u ^= t << W;
+            *l ^= t;
+        }
+    }
+}
+
+/// Loads the words of the primary outputs into the rows of a bit matrix
+/// and transposes it, so row `lane` is the LSB-first output integer of
+/// simulation lane `lane`.
+fn output_lanes(netlist: &Netlist, values: &[u64]) -> [u64; 64] {
+    let mut rows = [0u64; 64];
+    for (row, o) in rows.iter_mut().zip(netlist.outputs()) {
+        *row = values[o.index()];
+    }
+    transpose64(&mut rows);
+    rows
+}
+
+/// Panics unless every output integer fits the `u64` lanes of
+/// [`output_lanes`].
+fn assert_fits_u64(netlist: &Netlist) {
+    let n_out = netlist.outputs().len();
+    assert!(
+        n_out <= 64,
+        "`{}` has {n_out} outputs; a u64 result holds at most 64",
+        netlist.name()
+    );
 }
 
 /// Evaluates a netlist as a two-operand arithmetic circuit on a single
@@ -72,29 +131,30 @@ pub fn eval_binop(netlist: &Netlist, wa: u32, wb: u32, a: u64, b: u64) -> u64 {
 
 /// Evaluates a netlist as a two-operand arithmetic circuit on a batch of
 /// operand pairs, 64 pairs per simulation pass.
+///
+/// # Panics
+/// Panics if the netlist does not have exactly `wa + wb` inputs or has
+/// more than 64 outputs.
 pub fn eval_binop_batch(netlist: &Netlist, wa: u32, wb: u32, pairs: &[(u64, u64)]) -> Vec<u64> {
     assert_eq!(netlist.input_count() as u32, wa + wb);
-    let n_in = (wa + wb) as usize;
+    assert_fits_u64(netlist);
     let mut results = Vec::with_capacity(pairs.len());
-    let mut words = vec![0u64; n_in];
+    let mut values = Vec::with_capacity(netlist.net_count());
     for chunk in pairs.chunks(64) {
-        words.iter_mut().for_each(|w| *w = 0);
+        // transposing the operand lanes yields one word per operand bit
+        let mut a_bits = [0u64; 64];
+        let mut b_bits = [0u64; 64];
         for (lane, &(a, b)) in chunk.iter().enumerate() {
-            for (i, w) in words.iter_mut().enumerate().take(wa as usize) {
-                *w |= ((a >> i) & 1) << lane;
-            }
-            for i in 0..wb as usize {
-                words[wa as usize + i] |= ((b >> i) & 1) << lane;
-            }
+            a_bits[lane] = a;
+            b_bits[lane] = b;
         }
-        let outs = sim_lanes(netlist, &words);
-        for lane in 0..chunk.len() {
-            let mut r = 0u64;
-            for (i, w) in outs.iter().enumerate() {
-                r |= ((w >> lane) & 1) << i;
-            }
-            results.push(r);
-        }
+        transpose64(&mut a_bits);
+        transpose64(&mut b_bits);
+        values.clear();
+        values.extend_from_slice(&a_bits[..wa as usize]);
+        values.extend_from_slice(&b_bits[..wb as usize]);
+        eval_gates(netlist, &mut values);
+        results.extend_from_slice(&output_lanes(netlist, &values)[..chunk.len()]);
     }
     results
 }
@@ -114,37 +174,33 @@ const LOW_PATTERNS: [u64; 6] = [
 /// returning one integer result per input assignment, ordered by the
 /// assignment value (input 0 = LSB of the assignment index).
 ///
-/// For a 16-input circuit this performs only 1024 bit-parallel passes.
+/// For a 16-input circuit this performs only 1024 bit-parallel passes,
+/// all into one reused net-value buffer; each pass's output words are
+/// turned into 64 result integers by one 64×64 bit transpose.
 ///
 /// # Panics
 /// Panics if the netlist has more than 26 inputs (the result vector would
-/// exceed 64 M entries).
+/// exceed 64 M entries) or more than 64 outputs (a result would not fit a
+/// `u64`).
 pub fn exhaustive_outputs(netlist: &Netlist) -> Vec<u64> {
     let k = netlist.input_count();
     assert!(k <= 26, "exhaustive evaluation limited to 26 inputs");
-    let total = 1usize << k;
-    let blocks = total.div_ceil(64);
-    let mut results = vec![0u64; total];
-    let mut words = vec![0u64; k];
-    for block in 0..blocks {
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = if i < 6 {
+    assert_fits_u64(netlist);
+    let mut results = vec![0u64; 1usize << k];
+    let mut values = Vec::with_capacity(netlist.net_count());
+    for (block, lanes) in results.chunks_mut(64).enumerate() {
+        values.clear();
+        values.extend((0..k).map(|i| {
+            if i < 6 {
                 LOW_PATTERNS[i]
             } else if (block >> (i - 6)) & 1 != 0 {
                 u64::MAX
             } else {
                 0
-            };
-        }
-        let outs = sim_lanes(netlist, &words);
-        let lanes = (total - block * 64).min(64);
-        for lane in 0..lanes {
-            let mut r = 0u64;
-            for (oi, w) in outs.iter().enumerate() {
-                r |= ((w >> lane) & 1) << oi;
             }
-            results[block * 64 + lane] = r;
-        }
+        }));
+        eval_gates(netlist, &mut values);
+        lanes.copy_from_slice(&output_lanes(netlist, &values)[..lanes.len()]);
     }
     results
 }
@@ -188,7 +244,121 @@ pub fn check_equivalence(a: &Netlist, b: &Netlist, n_samples: usize, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Netlist;
+    use crate::cell::CellKind;
+    use crate::netlist::{NetId, Netlist};
+    use crate::util::splitmix64;
+    use proptest::prelude::*;
+
+    /// A random netlist over `n_in` inputs: `n_gates` gates of random
+    /// kinds reading random earlier nets, and `n_out` outputs drawn from
+    /// all nets (repeats allowed).
+    fn random_netlist(n_in: usize, n_gates: usize, n_out: usize, seed: u64) -> Netlist {
+        let mut st = seed;
+        let mut n = Netlist::new("random");
+        for _ in 0..n_in {
+            n.input();
+        }
+        for _ in 0..n_gates {
+            let kind = CellKind::ALL[(splitmix64(&mut st) % CellKind::ALL.len() as u64) as usize];
+            let nets = n.net_count() as u64;
+            let mut pick = || NetId((splitmix64(&mut st) % nets) as u32);
+            n.push(kind, [pick(), pick(), pick()]);
+        }
+        let nets = n.net_count() as u64;
+        for _ in 0..n_out {
+            n.push_output(NetId((splitmix64(&mut st) % nets) as u32));
+        }
+        n
+    }
+
+    /// The per-lane reference: one [`sim_lanes`] call per 64-lane block
+    /// and a bit-by-bit gather of each lane's outputs.
+    fn exhaustive_reference(n: &Netlist) -> Vec<u64> {
+        let k = n.input_count();
+        let total = 1usize << k;
+        let mut results = Vec::with_capacity(total);
+        for block in 0..total.div_ceil(64) {
+            let words: Vec<u64> = (0..k)
+                .map(|i| {
+                    let v = |lane: usize| (((block * 64 + lane) >> i) & 1) as u64;
+                    (0..64).fold(0, |w, lane| w | v(lane) << lane)
+                })
+                .collect();
+            let outs = sim_lanes(n, &words);
+            for lane in 0..(total - block * 64).min(64) {
+                let bits = outs.iter().enumerate();
+                results.push(bits.fold(0, |r, (oi, w)| r | ((w >> lane) & 1) << oi));
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn transpose_matches_bitwise_definition() {
+        let mut st = 7;
+        let rows: [u64; 64] = std::array::from_fn(|_| splitmix64(&mut st));
+        let mut t = rows;
+        transpose64(&mut t);
+        for (r, &row) in t.iter().enumerate() {
+            for (c, &col) in rows.iter().enumerate() {
+                assert_eq!((row >> c) & 1, (col >> r) & 1, "row {r} col {c}");
+            }
+        }
+        transpose64(&mut t);
+        assert_eq!(t, rows, "transpose is an involution");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The transposed exhaustive simulator equals the per-lane gather
+        /// on random netlists: 1..=20 inputs (below 6 inputs the only
+        /// block is partial) and 1..=64 outputs.
+        #[test]
+        fn exhaustive_matches_per_lane_reference(
+            n_in in 1usize..=20,
+            n_gates in 0usize..60,
+            n_out in 1usize..=64,
+            seed in any::<u64>(),
+        ) {
+            let n = random_netlist(n_in, n_gates, n_out, seed);
+            prop_assert_eq!(exhaustive_outputs(&n), exhaustive_reference(&n));
+        }
+
+        /// The batched operand evaluator equals one [`eval_binop`] per
+        /// pair, across partial last chunks and operands with bits above
+        /// their width (which the circuit must ignore).
+        #[test]
+        fn batch_matches_per_pair_eval(
+            wa in 1u32..=12,
+            wb in 1u32..=12,
+            n_gates in 0usize..60,
+            n_out in 1usize..=64,
+            seed in any::<u64>(),
+            n_pairs in 0usize..200,
+        ) {
+            let n = random_netlist((wa + wb) as usize, n_gates, n_out, seed);
+            let mut st = seed ^ 0x5EED;
+            let pairs: Vec<(u64, u64)> = (0..n_pairs)
+                .map(|_| (splitmix64(&mut st), splitmix64(&mut st)))
+                .collect();
+            let batch = eval_binop_batch(&n, wa, wb, &pairs);
+            let single: Vec<u64> = pairs.iter().map(|&(a, b)| eval_binop(&n, wa, wb, a, b)).collect();
+            prop_assert_eq!(batch, single);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "65 outputs; a u64 result holds at most 64")]
+    fn exhaustive_rejects_more_than_64_outputs() {
+        exhaustive_outputs(&random_netlist(3, 4, 65, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "65 outputs; a u64 result holds at most 64")]
+    fn batch_rejects_more_than_64_outputs() {
+        eval_binop_batch(&random_netlist(2, 4, 65, 1), 1, 1, &[(0, 1)]);
+    }
 
     fn xor_netlist() -> Netlist {
         let mut n = Netlist::new("xor");

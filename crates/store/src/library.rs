@@ -147,6 +147,28 @@ mod tests {
         }
     }
 
+    /// Pins the tiny library byte for byte, and the store keys of the
+    /// tiny and default configurations: a change to generation,
+    /// characterization or the codec shows here, not only in an
+    /// end-to-end front digest.
+    #[test]
+    fn tiny_library_bytes_and_keys_are_pinned() {
+        let bytes = encode_library(&build_library(&LibraryConfig::tiny()));
+        assert_eq!(bytes.len(), 39_777);
+        assert_eq!(
+            format!("{:016x}", crate::container::fnv1a64(&bytes)),
+            "16d58280eca423cf"
+        );
+        assert_eq!(
+            library_key(&LibraryConfig::tiny()).hex(),
+            "ab8dbe64ed0a1f91231ad532433c87f7"
+        );
+        assert_eq!(
+            library_key(&LibraryConfig::default()).hex(),
+            "b887029856264055ae45723c94c430b3"
+        );
+    }
+
     #[test]
     fn different_configs_get_different_keys() {
         let a = library_key(&LibraryConfig::tiny());
