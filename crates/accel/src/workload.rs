@@ -18,6 +18,7 @@
 use crate::accelerator::{Accelerator, OpSet, OpSlot};
 use crate::profile::Pmf;
 use autoax_circuit::Netlist;
+use autoax_image::ssim::SsimReference;
 use autoax_image::GrayImage;
 
 /// An application workload: benchmark data, a software model over
@@ -82,10 +83,11 @@ pub trait Workload: Send + Sync {
 
 /// Every image-filter [`Accelerator`] is a [`Workload`] over grayscale
 /// images: golden results are the exact outputs of every behavioural
-/// mode, and QoR is the paper's mean SSIM.
+/// mode, held as [`SsimReference`]s so their SSIM statistics are computed
+/// once, and QoR is the paper's mean SSIM.
 impl<A: Accelerator + ?Sized> Workload for A {
     type Sample = GrayImage;
-    type Golden = Vec<GrayImage>;
+    type Golden = Vec<SsimReference>;
 
     fn name(&self) -> &str {
         Accelerator::name(self)
@@ -103,11 +105,11 @@ impl<A: Accelerator + ?Sized> Workload for A {
         crate::profile::profile(self, samples)
     }
 
-    fn golden(&self, samples: &[GrayImage]) -> Vec<Vec<GrayImage>> {
+    fn golden(&self, samples: &[GrayImage]) -> Vec<Vec<SsimReference>> {
         Accelerator::golden(self, samples)
     }
 
-    fn qor(&self, samples: &[GrayImage], golden: &[Vec<GrayImage>], ops: &OpSet) -> f64 {
+    fn qor(&self, samples: &[GrayImage], golden: &[Vec<SsimReference>], ops: &OpSet) -> f64 {
         Accelerator::qor(self, samples, golden, ops)
     }
 

@@ -7,7 +7,7 @@ use autoax_circuit::approx::Behavior;
 use autoax_circuit::arith::{array_multiplier, ripple_carry_adder};
 use autoax_circuit::sim::{eval_binop_batch, exhaustive_outputs};
 use autoax_circuit::synth::synthesize;
-use autoax_image::ssim::ssim;
+use autoax_image::ssim::{ssim, SsimReference};
 use autoax_image::synthetic::benchmark_suite;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -56,6 +56,16 @@ fn bench_ssim(c: &mut Criterion) {
     group.bench_function("ssim_384x256", |b| {
         b.iter(|| black_box(ssim(black_box(&imgs[0]), black_box(&imgs[1]))))
     });
+    // The QoR hot path: one compare against a prebuilt golden reference,
+    // at the image sizes the quickstart (96×64) and the served jobs
+    // (48×32) evaluate.
+    for (w, h) in [(96, 64), (48, 32)] {
+        let imgs = benchmark_suite(2, w, h, 9);
+        let golden = SsimReference::new(&imgs[1]);
+        group.bench_function(&format!("ssim_reference_{w}x{h}"), |b| {
+            b.iter(|| black_box(golden.ssim(black_box(&imgs[0]))))
+        });
+    }
     group.finish();
 }
 

@@ -6,14 +6,25 @@
 //! The evaluator is generic over the QoR domain: it drives any
 //! [`Workload`] (image accelerators via the blanket impl, the quantized
 //! NN workload, …) against its own sample type and golden results.
+//!
+//! What a run computes from its inputs alone — `(workload, library,
+//! samples, preprocessing options)`, never a seed or a budget — lives in
+//! an [`EvalContext`]: the golden results and Step 1's reduced space.
+//! One context can serve any number of pipeline runs
+//! ([`crate::pipeline::run_pipeline_on`]); the service tier keeps one per
+//! catalogue workload.
 
 use crate::config::{ConfigSpace, Configuration};
+use crate::error::AutoAxError;
+use crate::preprocess::{preprocess_with_pmfs, PreprocessOptions, Preprocessed};
 use autoax_accel::{CompiledOp, OpSet, Workload};
 use autoax_circuit::charlib::{CircuitId, ComponentLibrary};
 use autoax_circuit::synth::{analyze, optimize, AnalyzeOptions};
 use autoax_circuit::{HwReport, Netlist, OpSignature};
+use autoax_telemetry as telemetry;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 /// The outcome of fully analyzing one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,13 +36,120 @@ pub struct RealEval {
     pub hw: HwReport,
 }
 
+/// The job-invariant evaluation state of a workload: its inputs, the
+/// golden (exact) results of every sample, and Step 1's reduced space.
+///
+/// Everything here is a pure function of `(work, lib, samples,
+/// preprocess)`, so runs that differ only in seeds, budgets or search
+/// strategy share one context and get byte-identical results to runs on
+/// fresh contexts. Both parts are computed once, when a run first needs
+/// them: Step 1 by a run that does not warm-start Steps 1–2 from the
+/// cache, the golden results by the first evaluator it hands out. Compiled
+/// LUTs are deliberately not held here: they stay in each run's
+/// [`Evaluator`], so a long-lived context keeps only small data.
+pub struct EvalContext<'a, W: Workload + ?Sized> {
+    work: &'a W,
+    lib: &'a ComponentLibrary,
+    samples: &'a [W::Sample],
+    preprocess: PreprocessOptions,
+    golden: OnceLock<Arc<Vec<W::Golden>>>,
+    step1: OnceLock<Result<Arc<Preprocessed>, AutoAxError>>,
+}
+
+impl<'a, W: Workload + ?Sized> EvalContext<'a, W> {
+    /// A context over these inputs (cheap: nothing is computed yet).
+    pub fn new(
+        work: &'a W,
+        lib: &'a ComponentLibrary,
+        samples: &'a [W::Sample],
+        preprocess: &PreprocessOptions,
+    ) -> Self {
+        EvalContext {
+            work,
+            lib,
+            samples,
+            preprocess: *preprocess,
+            golden: OnceLock::new(),
+            step1: OnceLock::new(),
+        }
+    }
+
+    /// The workload.
+    pub(crate) fn workload(&self) -> &'a W {
+        self.work
+    }
+
+    /// The component library.
+    pub fn library(&self) -> &'a ComponentLibrary {
+        self.lib
+    }
+
+    /// The benchmark samples.
+    pub fn samples(&self) -> &'a [W::Sample] {
+        self.samples
+    }
+
+    /// Whether the context was built with exactly these Step-1 options
+    /// (bitwise, so a NaN `mass_frac` still matches itself).
+    pub(crate) fn built_with(&self, opts: &PreprocessOptions) -> bool {
+        let PreprocessOptions {
+            mass_frac,
+            slot_cap,
+        } = *opts;
+        mass_frac.to_bits() == self.preprocess.mass_frac.to_bits()
+            && slot_cap == self.preprocess.slot_cap
+    }
+
+    /// Step 1 (operand profiling + WMED reduction), computed once on
+    /// first use and recorded under the `pipeline.step1.preprocess` /
+    /// `pipeline.step1.profile` spans. Concurrent first callers wait for
+    /// one computation.
+    ///
+    /// Returns the result with the `(profiling, total)` time *this call*
+    /// spent computing it: both zero when an earlier call already had.
+    ///
+    /// # Errors
+    /// The (cached) Step-1 error, see [`crate::preprocess::preprocess`].
+    pub(crate) fn preprocessed(
+        &self,
+    ) -> Result<(Arc<Preprocessed>, Duration, Duration), AutoAxError> {
+        let mut spent = (Duration::ZERO, Duration::ZERO);
+        let step1 = self.step1.get_or_init(|| {
+            let sp_step1 = telemetry::span("pipeline.step1.preprocess");
+            let sp_profile = telemetry::span("pipeline.step1.profile");
+            let pmfs = self.work.profile(self.samples);
+            spent.0 = sp_profile.finish();
+            let pre = preprocess_with_pmfs(self.work, self.lib, pmfs, &self.preprocess);
+            spent.1 = sp_step1.finish();
+            pre.map(Arc::new)
+        });
+        step1.clone().map(|pre| (pre, spent.0, spent.1))
+    }
+
+    /// An evaluator over `space` that shares this context's golden
+    /// results (its compiled-op cache is its own).
+    pub(crate) fn evaluator<'s>(&'s self, space: &'s ConfigSpace) -> Evaluator<'s, W> {
+        Evaluator {
+            work: self.work,
+            lib: self.lib,
+            space,
+            samples: self.samples,
+            golden: Arc::clone(
+                self.golden
+                    .get_or_init(|| Arc::new(self.work.golden(self.samples))),
+            ),
+            op_cache: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
 /// Evaluator with cached golden results and compiled-op cache.
 pub struct Evaluator<'a, W: Workload + ?Sized> {
     work: &'a W,
     lib: &'a ComponentLibrary,
     space: &'a ConfigSpace,
     samples: &'a [W::Sample],
-    golden: Vec<W::Golden>,
+    golden: Arc<Vec<W::Golden>>,
     op_cache: Mutex<HashMap<(OpSignature, CircuitId), CompiledOp>>,
 }
 
@@ -48,7 +166,7 @@ impl<'a, W: Workload + ?Sized> Evaluator<'a, W> {
             lib,
             space,
             samples,
-            golden: work.golden(samples),
+            golden: Arc::new(work.golden(samples)),
             op_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -59,17 +177,24 @@ impl<'a, W: Workload + ?Sized> Evaluator<'a, W> {
     }
 
     /// Compiles (with caching) the op set of a configuration.
+    ///
+    /// A miss compiles outside the cache lock (an 8-bit LUT is a 2^16-entry
+    /// table), so it never stalls other workers' lookups; when two workers
+    /// compile the same circuit, the first insert wins — compilation is
+    /// deterministic, so either table is the same.
     pub fn opset(&self, c: &Configuration) -> OpSet {
         let entries = self.space.entries(self.lib, c);
-        let mut cache = self.op_cache.lock().expect("op cache poisoned");
+        let cache = || self.op_cache.lock().expect("op cache poisoned");
         let ops = entries
             .iter()
             .zip(self.space.slots().iter())
             .map(|(e, s)| {
-                cache
-                    .entry((s.signature, e.id))
-                    .or_insert_with(|| CompiledOp::compile(e))
-                    .clone()
+                let key = (s.signature, e.id);
+                if let Some(op) = cache().get(&key) {
+                    return op.clone();
+                }
+                let op = CompiledOp::compile(e);
+                cache().entry(key).or_insert(op).clone()
             })
             .collect();
         OpSet::new(ops)

@@ -13,13 +13,13 @@ use crate::cache::{
 };
 use crate::config::Configuration;
 use crate::error::AutoAxError;
-use crate::evaluate::{Evaluator, RealEval};
+use crate::evaluate::{EvalContext, Evaluator, RealEval};
 use crate::job::CancelToken;
 use crate::model::{
     fidelity_report, fit_models, EvaluatedSet, FidelityReport, FittedModels, ModelEstimator,
 };
 use crate::pareto::{ParetoFront, ParetoFront3, TradeoffPoint};
-use crate::preprocess::{preprocess_with_pmfs, PreprocessOptions, Preprocessed};
+use crate::preprocess::{PreprocessOptions, Preprocessed};
 use crate::refine::{refined_search, RefinementReport};
 use crate::search::{run_search_cancellable, SearchAlgo, SearchOptions};
 use autoax_accel::Workload;
@@ -226,8 +226,9 @@ pub struct FinalMember {
 
 /// Everything the pipeline produces (feeds Tables 3–5 and Fig. 5).
 pub struct PipelineResult {
-    /// Pre-processing outcome (reduced space + PMFs).
-    pub preprocessed: Preprocessed,
+    /// Pre-processing outcome (reduced space + PMFs), shared with the
+    /// [`EvalContext`] the run used.
+    pub preprocessed: Arc<Preprocessed>,
     /// Fidelity of the chosen engine's models.
     pub fidelity: FidelityReport,
     /// The fitted models (for further estimation).
@@ -284,7 +285,8 @@ impl PipelineResult {
     }
 }
 
-/// Runs the complete three-step methodology.
+/// Runs the complete three-step methodology: builds the run's
+/// [`EvalContext`] and runs [`run_pipeline_on`] on it.
 ///
 /// With a populated cache ([`PipelineOptions::cache_dir`] +
 /// [`PipelineOptions::cache_mode`]), Steps 1–2 are warm-started from disk
@@ -302,8 +304,38 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     samples: &[W::Sample],
     opts: &PipelineOptions,
 ) -> Result<PipelineResult, AutoAxError> {
+    run_pipeline_on(
+        &EvalContext::new(work, lib, samples, &opts.preprocess),
+        opts,
+    )
+}
+
+/// Runs the complete three-step methodology on a prepared
+/// [`EvalContext`]: the context supplies the golden results and Step 1
+/// (computed on the first run that needs it and reused by every later
+/// run); everything seed- or budget-dependent is computed here. The
+/// result is byte-identical to [`run_pipeline`] on the context's inputs.
+///
+/// Step-1 time is reported by the run that computed it: a run on a
+/// context whose Step 1 is already done reports zero
+/// [`PipelineTimings::profiling`] and [`PipelineTimings::preprocess`].
+///
+/// # Errors
+/// As [`run_pipeline`], plus [`AutoAxError::Invalid`] when
+/// `opts.preprocess` differs from the context's options (the Step-1/2
+/// cache key is computed from `opts`).
+pub fn run_pipeline_on<W: Workload + ?Sized>(
+    ctx: &EvalContext<'_, W>,
+    opts: &PipelineOptions,
+) -> Result<PipelineResult, AutoAxError> {
+    let (work, lib, samples) = (ctx.workload(), ctx.library(), ctx.samples());
     if samples.is_empty() {
         return Err(AutoAxError::Invalid("no benchmark samples".into()));
+    }
+    if !ctx.built_with(&opts.preprocess) {
+        return Err(AutoAxError::Invalid(
+            "pipeline preprocess options differ from the evaluation context's".into(),
+        ));
     }
     if opts.cancel.is_cancelled() {
         return Err(AutoAxError::Cancelled);
@@ -369,9 +401,9 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     };
 
     let (pre, mut fidelity, mut models, t_profile, t_pre, t_train_data, t_fit);
-    // The Step-2 evaluator (golden outputs + compiled-op cache) is reused
-    // by the refinement loop and the final real evaluation of Step 3b
-    // when it exists.
+    // The Step-2 evaluator (compiled-op cache over the context's golden
+    // results) is reused by the refinement loop and the final real
+    // evaluation of Step 3b when it exists.
     let mut step2_evaluator: Option<Evaluator<'_, W>> = None;
     // The Step-2 train/test sets survive the cold branch so a refined
     // run can grow the training set without regenerating it.
@@ -379,7 +411,7 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     match warm {
         Some((p, f, m)) => {
             // Warm start: Steps 1–2 skipped entirely.
-            pre = p;
+            pre = Arc::new(p);
             fidelity = f;
             models = m;
             t_profile = Duration::ZERO;
@@ -388,14 +420,9 @@ pub fn run_pipeline<W: Workload + ?Sized>(
             t_fit = Duration::ZERO;
         }
         None => {
-            // Step 1: library pre-processing (profiling timed separately,
-            // nested inside the step span).
-            let sp_step1 = telemetry::span("pipeline.step1.preprocess");
-            let sp_profile = telemetry::span("pipeline.step1.profile");
-            let pmfs = work.profile(samples);
-            t_profile = sp_profile.finish();
-            pre = preprocess_with_pmfs(work, lib, pmfs, &opts.preprocess)?;
-            t_pre = sp_step1.finish();
+            // Step 1: library pre-processing, from the context (computed
+            // here only if no earlier run on it has).
+            (pre, t_profile, t_pre) = ctx.preprocessed()?;
             // Fail fast before the expensive training evaluations.
             exhaustive_guard(pre.space.size())?;
 
@@ -406,7 +433,7 @@ pub fn run_pipeline<W: Workload + ?Sized>(
             // Step 2: model construction.
             let _sp_step2 = telemetry::span("pipeline.step2");
             let sp_td = telemetry::span("pipeline.step2.training_data");
-            let evaluator = step2_evaluator.insert(Evaluator::new(work, lib, &pre.space, samples));
+            let evaluator = step2_evaluator.insert(ctx.evaluator(&pre.space));
             let train =
                 EvaluatedSet::try_generate(evaluator, &pre.space, opts.train_configs, opts.seed)?;
             let test = EvaluatedSet::try_generate(
@@ -503,10 +530,7 @@ pub fn run_pipeline<W: Workload + ?Sized>(
                 (front, Some(report))
             }
             None => {
-                if step2_evaluator.is_none() {
-                    step2_evaluator = Some(Evaluator::new(work, lib, &pre.space, samples));
-                }
-                let evaluator = step2_evaluator.as_ref().expect("just built");
+                let evaluator = step2_evaluator.get_or_insert_with(|| ctx.evaluator(&pre.space));
                 // A warm Step-1/2 start skipped data generation; the
                 // loop regenerates the same sets from the same seeds
                 // (bit-identical to the cold run's).
@@ -578,10 +602,7 @@ pub fn run_pipeline<W: Workload + ?Sized>(
     // Pareto filtering on real SSIM, area and energy. A warm run builds
     // its evaluator here (the cold run reuses the Step-2 one).
     let sp_final = telemetry::span("pipeline.step3b.final_eval");
-    let evaluator = match step2_evaluator {
-        Some(ev) => ev,
-        None => Evaluator::new(work, lib, &pre.space, samples),
-    };
+    let evaluator = step2_evaluator.unwrap_or_else(|| ctx.evaluator(&pre.space));
     let mut members: Vec<(TradeoffPoint, Configuration)> = pseudo_front.clone().into_sorted();
     if members.len() > opts.final_eval_cap {
         // keep an even spread across the estimated front
@@ -691,6 +712,70 @@ mod tests {
         let (full, reduced, pseudo, finaln) = res.space_sizes_log10();
         assert!(full >= reduced);
         assert!(pseudo >= finaln);
+    }
+
+    #[test]
+    fn runs_on_one_context_match_independent_runs_byte_for_byte() {
+        // the quickstart setup: tiny library, 4 images 96x64 (seed 7)
+        let accel = SobelEd::new();
+        let lib = build_library(&LibraryConfig::tiny());
+        let images = benchmark_suite(4, 96, 64, 7);
+        let opts = |seed| PipelineOptions {
+            seed,
+            ..PipelineOptions::quick()
+        };
+        let ctx = EvalContext::new(&accel, &lib, &images, &PipelineOptions::quick().preprocess);
+        let shared: Vec<PipelineResult> = [42, 43]
+            .iter()
+            .map(|&seed| run_pipeline_on(&ctx, &opts(seed)).unwrap())
+            .collect();
+        for (seed, on_ctx) in [42, 43].into_iter().zip(&shared) {
+            let alone = run_pipeline(&accel, &lib, &images, &opts(seed)).unwrap();
+            assert_eq!(on_ctx.front_digest(), alone.front_digest(), "seed {seed}");
+            assert_eq!(on_ctx.evaluated.len(), alone.evaluated.len(), "seed {seed}");
+            for ((ca, ra), (cb, rb)) in on_ctx.evaluated.iter().zip(&alone.evaluated) {
+                assert_eq!(ca, cb, "seed {seed}");
+                assert_eq!(ra.qor.to_bits(), rb.qor.to_bits(), "seed {seed}");
+                assert_eq!(ra.hw.area.to_bits(), rb.hw.area.to_bits(), "seed {seed}");
+                assert_eq!(
+                    ra.hw.energy.to_bits(),
+                    rb.hw.energy.to_bits(),
+                    "seed {seed}"
+                );
+            }
+            let bits = |r: &PipelineResult| -> Vec<(u64, u64, Configuration)> {
+                r.pseudo_front
+                    .clone()
+                    .into_sorted()
+                    .into_iter()
+                    .map(|(p, c)| (p.qor.to_bits(), p.cost.to_bits(), c))
+                    .collect()
+            };
+            assert_eq!(bits(on_ctx), bits(&alone), "seed {seed}");
+        }
+        assert_eq!(shared[0].front_digest(), 0x252e_0c00_c843_33a4);
+        // Step 1 ran once, in the first run, and both runs share its result
+        assert!(shared[0].timings.preprocess > Duration::ZERO);
+        assert_eq!(shared[1].timings.profiling, Duration::ZERO);
+        assert_eq!(shared[1].timings.preprocess, Duration::ZERO);
+        assert!(Arc::ptr_eq(
+            &shared[0].preprocessed,
+            &shared[1].preprocessed
+        ));
+    }
+
+    #[test]
+    fn context_rejects_runs_with_other_preprocess_options() {
+        let accel = SobelEd::new();
+        let lib = build_library(&LibraryConfig::tiny());
+        let images = benchmark_suite(2, 48, 32, 5);
+        let ctx = EvalContext::new(&accel, &lib, &images, &PreprocessOptions::default());
+        let mut opts = PipelineOptions::quick();
+        opts.preprocess.slot_cap = Some(3);
+        assert!(matches!(
+            run_pipeline_on(&ctx, &opts),
+            Err(AutoAxError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -29,9 +29,9 @@
 use crate::gate::AdmissionGate;
 use crate::http::ProtocolError;
 use crate::json::{obj, Json};
-use crate::registry::{NamedWorkload, Registry, ResolvedJob};
+use crate::registry::{NamedWorkload, Registry};
 use crate::singleflight::{Role, SingleFlight};
-use autoax::pipeline::{run_pipeline, PipelineOptions, PipelineResult};
+use autoax::pipeline::{run_pipeline_on, PipelineOptions, PipelineResult};
 use autoax::{AutoAxError, CancelToken, JobLimits, JobSpec, SearchAlgo};
 use autoax_store::cache::{BlobStore, CacheKey, CacheMode, KeyHasher, Loaded};
 use autoax_store::{ShardedStore, StoreStats};
@@ -309,7 +309,7 @@ impl JobEngine {
     /// Builds an engine over its sharded store.
     pub fn new(cfg: EngineConfig) -> Self {
         JobEngine {
-            registry: Registry,
+            registry: Registry::new(cfg.base.preprocess),
             store: Arc::new(ShardedStore::with_defaults(cfg.cache_dir)),
             flight: SingleFlight::new(),
             gate: Arc::new(AdmissionGate::new(cfg.global_jobs, cfg.tenant_jobs)),
@@ -383,7 +383,7 @@ impl JobEngine {
         req.spec
             .validate(&self.limits)
             .map_err(|e| ProtocolError::BadField(e.to_string()))?;
-        let resolved = self
+        let workload = self
             .registry
             .resolve(&req.workload, &req.library)
             .map_err(|e| ProtocolError::BadField(e.to_string()))?;
@@ -435,7 +435,7 @@ impl JobEngine {
                     }
                 };
                 self.executions.fetch_add(1, Ordering::Relaxed);
-                match self.run(&resolved, &req.spec) {
+                match self.run(&workload, &req.spec) {
                     Ok(result) => {
                         let result = Arc::new(result);
                         // Persist before publishing so late arrivals that
@@ -458,14 +458,14 @@ impl JobEngine {
         }
     }
 
-    fn run(&self, resolved: &ResolvedJob, spec: &JobSpec) -> Result<JobResult, AutoAxError> {
+    fn run(&self, workload: &NamedWorkload, spec: &JobSpec) -> Result<JobResult, AutoAxError> {
         let mut opts = spec.to_options(&self.base);
         opts.cache_store = Some(Arc::clone(&self.store) as Arc<dyn BlobStore>);
         opts.cache_mode = CacheMode::ReadWrite;
         opts.cancel = self.shutdown.clone();
-        let res = match &resolved.workload {
-            NamedWorkload::Sobel(w) => run_pipeline(w, &resolved.lib, &resolved.images, &opts)?,
-            NamedWorkload::Gaussian(w) => run_pipeline(w, &resolved.lib, &resolved.images, &opts)?,
+        let res = match workload {
+            NamedWorkload::Sobel(ctx) => run_pipeline_on(ctx, &opts)?,
+            NamedWorkload::Gaussian(ctx) => run_pipeline_on(ctx, &opts)?,
         };
         Ok(JobResult::from_pipeline(&res))
     }
@@ -504,6 +504,45 @@ mod tests {
             JobEngine::job_key(&other_workload)
         );
         assert_ne!(JobEngine::job_key(&base), JobEngine::job_key(&req(2)));
+    }
+
+    #[test]
+    fn jobs_of_a_workload_share_one_context_and_match_standalone_runs() {
+        use autoax::pipeline::run_pipeline;
+        use autoax_accel::sobel::SobelEd;
+        use autoax_circuit::charlib::{build_library, LibraryConfig};
+        use autoax_image::synthetic::benchmark_suite;
+
+        let dir = std::env::temp_dir().join(format!("autoax-serve-ctx-{}", std::process::id()));
+        let engine = JobEngine::new(EngineConfig::new(&dir));
+        let (a, b) = (req(3), req(4));
+        let context = |r: &JobRequest| match engine.registry.resolve(&r.workload, &r.library) {
+            Ok(NamedWorkload::Sobel(ctx)) => ctx,
+            other => panic!("expected a sobel job, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&context(&a), &context(&b)));
+
+        let lib = build_library(&LibraryConfig::tiny());
+        let images = benchmark_suite(2, 48, 32, 5);
+        for r in [&a, &b] {
+            let served = engine.submit(r).expect("job runs");
+            assert_eq!(served.served, Served::Computed);
+            let alone = run_pipeline(
+                &SobelEd::new(),
+                &lib,
+                &images,
+                &r.spec.to_options(&PipelineOptions::quick()),
+            )
+            .expect("standalone run");
+            assert_eq!(
+                served.result.front_digest,
+                alone.front_digest(),
+                "seed {}",
+                r.spec.seed
+            );
+        }
+        assert_eq!(engine.executions(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
