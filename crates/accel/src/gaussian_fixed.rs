@@ -19,7 +19,9 @@
 //! out = t5 >> 8
 //! ```
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
+use crate::accelerator::{
+    apply_slot, shift_lanes, Accelerator, LaneScratch, OpObserver, OpSet, OpSlot, Taps,
+};
 use autoax_circuit::netlist::{Bus, NetId, Netlist};
 use autoax_circuit::OpSignature;
 
@@ -73,37 +75,38 @@ impl Accelerator for FixedGaussian {
         &self.slots
     }
 
-    fn kernel(&self, _mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        let m16 = 0xFFFFu64;
-        let (p00, p01, p02) = (n[0] as u64, n[1] as u64, n[2] as u64);
-        let (p10, m, p12) = (n[3] as u64, n[4] as u64, n[5] as u64);
-        let (p20, p21, p22) = (n[6] as u64, n[7] as u64, n[8] as u64);
-        obs.record(0, p00, p02);
-        let s1 = ops.apply(0, p00, p02) & 0x1FF;
-        obs.record(1, p20, p22);
-        let s2 = ops.apply(1, p20, p22) & 0x1FF;
-        obs.record(2, s1, s2);
-        let c = ops.apply(2, s1, s2) & 0x3FF;
-        obs.record(3, p01, p21);
-        let s3 = ops.apply(3, p01, p21) & 0x1FF;
-        obs.record(4, p10, p12);
-        let s4 = ops.apply(4, p10, p12) & 0x1FF;
-        obs.record(5, s3, s4);
-        let e = ops.apply(5, s3, s4) & 0x3FF;
-        let (c4, c3, c1) = ((c << 4) & m16, (c << 3) & m16, (c << 1) & m16);
-        obs.record(6, c4, c3);
-        let t1 = ops.apply(6, c4, c3) & m16;
-        obs.record(7, t1, c1);
-        let t2 = ops.apply(7, t1, c1) & m16;
-        let (e5, e1) = ((e << 5) & m16, (e << 1) & m16);
-        obs.record(8, e5, e1);
-        let t3 = ops.apply(8, e5, e1) & m16;
-        obs.record(9, t2, t3);
-        let t4 = ops.apply(9, t2, t3) & m16;
-        let m5 = (m << 5) & m16;
-        obs.record(10, t4, m5);
-        let t5 = ops.apply(10, t4, m5) & m16;
-        (t5 >> 8) as u8
+    fn kernel(
+        &self,
+        _mode: usize,
+        t: &Taps<'_>,
+        ops: &OpSet,
+        obs: &mut dyn OpObserver,
+        scratch: &mut LaneScratch,
+        out: &mut [u8],
+    ) {
+        const M16: u32 = 0xFFFF;
+        let [s1, s2, c, s3, s4, e, c4, c3, t1, c1, t2, e5, e1, t3, t4, m5, t5] =
+            scratch.split(out.len());
+        apply_slot(ops, obs, 0, t[0], t[2], 0x1FF, s1);
+        apply_slot(ops, obs, 1, t[6], t[8], 0x1FF, s2);
+        apply_slot(ops, obs, 2, s1, s2, 0x3FF, c);
+        apply_slot(ops, obs, 3, t[1], t[7], 0x1FF, s3);
+        apply_slot(ops, obs, 4, t[3], t[5], 0x1FF, s4);
+        apply_slot(ops, obs, 5, s3, s4, 0x3FF, e);
+        shift_lanes(c, 4, M16, c4);
+        shift_lanes(c, 3, M16, c3);
+        shift_lanes(c, 1, M16, c1);
+        apply_slot(ops, obs, 6, c4, c3, M16, t1);
+        apply_slot(ops, obs, 7, t1, c1, M16, t2);
+        shift_lanes(e, 5, M16, e5);
+        shift_lanes(e, 1, M16, e1);
+        apply_slot(ops, obs, 8, e5, e1, M16, t3);
+        apply_slot(ops, obs, 9, t2, t3, M16, t4);
+        shift_lanes(t[4], 5, M16, m5);
+        apply_slot(ops, obs, 10, t4, m5, M16, t5);
+        for (o, &v) in out.iter_mut().zip(t5.iter()) {
+            *o = (v >> 8) as u8;
+        }
     }
 
     fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
@@ -146,9 +149,44 @@ impl Accelerator for FixedGaussian {
     }
 }
 
+/// The per-pixel Fixed GF model that preceded the lane kernel (test
+/// oracle).
+#[cfg(test)]
+pub(crate) fn pixel_oracle(
+    _mode: usize,
+    n: &[u8; 9],
+    ops: &OpSet,
+    record: &mut dyn FnMut(usize, u64, u64),
+) -> u8 {
+    let m16 = 0xFFFFu64;
+    let (p00, p01, p02) = (n[0] as u64, n[1] as u64, n[2] as u64);
+    let (p10, m, p12) = (n[3] as u64, n[4] as u64, n[5] as u64);
+    let (p20, p21, p22) = (n[6] as u64, n[7] as u64, n[8] as u64);
+    let mut apply = |slot: usize, a: u64, b: u64, keep: u64| {
+        record(slot, a, b);
+        ops.apply(slot, a, b) & keep
+    };
+    let s1 = apply(0, p00, p02, 0x1FF);
+    let s2 = apply(1, p20, p22, 0x1FF);
+    let c = apply(2, s1, s2, 0x3FF);
+    let s3 = apply(3, p01, p21, 0x1FF);
+    let s4 = apply(4, p10, p12, 0x1FF);
+    let e = apply(5, s3, s4, 0x3FF);
+    let (c4, c3, c1) = ((c << 4) & m16, (c << 3) & m16, (c << 1) & m16);
+    let t1 = apply(6, c4, c3, m16);
+    let t2 = apply(7, t1, c1, m16);
+    let (e5, e1) = ((e << 5) & m16, (e << 1) & m16);
+    let t3 = apply(8, e5, e1, m16);
+    let t4 = apply(9, t2, t3, m16);
+    let m5 = (m << 5) & m16;
+    let t5 = apply(10, t4, m5, m16);
+    (t5 >> 8) as u8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accelerator::oracle::{kernel_on, random_hoods, sim_bytes};
     use autoax_circuit::approx::Behavior;
     use autoax_image::synthetic::benchmark_suite;
 
@@ -167,18 +205,10 @@ mod tests {
     fn exact_model_matches_integer_reference() {
         let g = FixedGaussian::new();
         let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 3u64;
-        for _ in 0..500 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            assert_eq!(
-                g.kernel(0, &n, &exact, &mut obs),
-                FixedGaussian::reference_pixel(&n),
-                "{n:?}"
-            );
+        let hoods = random_hoods(500, 3);
+        let got = kernel_on(&g, 0, &hoods, &exact);
+        for (n, &v) in hoods.iter().zip(got.iter()) {
+            assert_eq!(v, FixedGaussian::reference_pixel(n), "{n:?}");
         }
     }
 
@@ -222,29 +252,10 @@ mod tests {
         assert_eq!(top.input_count(), 72);
         assert_eq!(top.outputs().len(), 8);
         let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 17u64;
-        for _ in 0..150 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            let words: Vec<u64> = (0..72)
-                .map(|bit| {
-                    if (n[bit / 8] >> (bit % 8)) & 1 != 0 {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let outs = autoax_circuit::sim::sim_lanes(&top, &words);
-            let hw = outs
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i));
-            let sw = g.kernel(0, &n, &exact, &mut obs) as u64;
-            assert_eq!(hw, sw, "{n:?}");
+        let hoods = random_hoods(150, 17);
+        let sw = kernel_on(&g, 0, &hoods, &exact);
+        for (n, &sw) in hoods.iter().zip(sw.iter()) {
+            assert_eq!(sim_bytes(&top, n), sw as u64, "{n:?}");
         }
     }
 
@@ -271,29 +282,10 @@ mod tests {
         let impls: Vec<Netlist> = entries.iter().map(|e| e.build_netlist()).collect();
         let top = g.build_netlist(&impls);
         let ops = OpSet::from_entries(&g, &entries);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 23u64;
-        for _ in 0..100 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            let words: Vec<u64> = (0..72)
-                .map(|bit| {
-                    if (n[bit / 8] >> (bit % 8)) & 1 != 0 {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let outs = autoax_circuit::sim::sim_lanes(&top, &words);
-            let hw = outs
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i));
-            let sw = g.kernel(0, &n, &ops, &mut obs) as u64;
-            assert_eq!(hw, sw, "{n:?}");
+        let hoods = random_hoods(100, 23);
+        let sw = kernel_on(&g, 0, &hoods, &ops);
+        for (n, &sw) in hoods.iter().zip(sw.iter()) {
+            assert_eq!(sim_bytes(&top, n), sw as u64, "{n:?}");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! kernels, σ ∈ [0.3, 0.8], × 4 images = 200 simulations); each kernel is
 //! one behavioural *mode* of the same hardware.
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
+use crate::accelerator::{apply_slot, Accelerator, LaneScratch, OpObserver, OpSet, OpSlot, Taps};
 use crate::kernels::{sigma_sweep_kernels, SymKernel};
 use autoax_circuit::netlist::{Bus, NetId, Netlist};
 use autoax_circuit::OpSignature;
@@ -67,28 +67,40 @@ impl Accelerator for GenericGaussian {
         self.kernels.len()
     }
 
-    fn kernel(&self, mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        let m16 = 0xFFFFu64;
-        let coeffs = &self.kernels[mode];
-        let mut prod = [0u64; 9];
-        for i in 0..9 {
-            let (a, b) = (n[i] as u64, coeffs[i] as u64);
-            obs.record(i, a, b);
-            prod[i] = ops.apply(i, a, b) & m16;
+    fn kernel(
+        &self,
+        mode: usize,
+        t: &Taps<'_>,
+        ops: &OpSet,
+        obs: &mut dyn OpObserver,
+        scratch: &mut LaneScratch,
+        out: &mut [u8],
+    ) {
+        const M16: u32 = 0xFFFF;
+        let [k, p0, p1, p2, p3, p4, p5, p6, p7, p8, s1, s2, s3, s4, s5, s6, s7, s8] =
+            scratch.split(out.len());
+        {
+            // the runtime coefficients enter the multipliers as broadcast lanes
+            let prods = [
+                &mut *p0, &mut *p1, &mut *p2, &mut *p3, &mut *p4, &mut *p5, &mut *p6, &mut *p7,
+                &mut *p8,
+            ];
+            for (i, (p, &coeff)) in prods.into_iter().zip(&self.kernels[mode]).enumerate() {
+                k.fill(coeff as u32);
+                apply_slot(ops, obs, i, t[i], k, M16, p);
+            }
         }
-        let apply_add = |slot: usize, a: u64, b: u64, obs: &mut dyn OpObserver| {
-            obs.record(slot, a, b);
-            ops.apply(slot, a, b) & m16
-        };
-        let s1 = apply_add(9, prod[0], prod[1], obs);
-        let s2 = apply_add(10, prod[2], prod[3], obs);
-        let s3 = apply_add(11, prod[4], prod[5], obs);
-        let s4 = apply_add(12, prod[6], prod[7], obs);
-        let s5 = apply_add(13, s1, s2, obs);
-        let s6 = apply_add(14, s3, s4, obs);
-        let s7 = apply_add(15, s5, s6, obs);
-        let s8 = apply_add(16, s7, prod[8], obs);
-        (s8 >> 8) as u8
+        apply_slot(ops, obs, 9, p0, p1, M16, s1);
+        apply_slot(ops, obs, 10, p2, p3, M16, s2);
+        apply_slot(ops, obs, 11, p4, p5, M16, s3);
+        apply_slot(ops, obs, 12, p6, p7, M16, s4);
+        apply_slot(ops, obs, 13, s1, s2, M16, s5);
+        apply_slot(ops, obs, 14, s3, s4, M16, s6);
+        apply_slot(ops, obs, 15, s5, s6, M16, s7);
+        apply_slot(ops, obs, 16, s7, p8, M16, s8);
+        for (o, &v) in out.iter_mut().zip(s8.iter()) {
+            *o = (v >> 8) as u8;
+        }
     }
 
     fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
@@ -127,9 +139,41 @@ impl Accelerator for GenericGaussian {
     }
 }
 
+/// The per-pixel Generic GF model that preceded the lane kernel (test
+/// oracle).
+#[cfg(test)]
+pub(crate) fn pixel_oracle(
+    g: &GenericGaussian,
+    mode: usize,
+    n: &[u8; 9],
+    ops: &OpSet,
+    record: &mut dyn FnMut(usize, u64, u64),
+) -> u8 {
+    let m16 = 0xFFFFu64;
+    let coeffs = &g.kernels[mode];
+    let mut apply = |slot: usize, a: u64, b: u64| {
+        record(slot, a, b);
+        ops.apply(slot, a, b) & m16
+    };
+    let mut prod = [0u64; 9];
+    for i in 0..9 {
+        prod[i] = apply(i, n[i] as u64, coeffs[i] as u64);
+    }
+    let s1 = apply(9, prod[0], prod[1]);
+    let s2 = apply(10, prod[2], prod[3]);
+    let s3 = apply(11, prod[4], prod[5]);
+    let s4 = apply(12, prod[6], prod[7]);
+    let s5 = apply(13, s1, s2);
+    let s6 = apply(14, s3, s4);
+    let s7 = apply(15, s5, s6);
+    let s8 = apply(16, s7, prod[8]);
+    (s8 >> 8) as u8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accelerator::oracle::{kernel_on, random_hoods, sim_bytes};
     use autoax_circuit::approx::Behavior;
     use autoax_image::synthetic::benchmark_suite;
 
@@ -151,21 +195,17 @@ mod tests {
     fn exact_model_matches_integer_reference() {
         let g = GenericGaussian::with_sweep(4);
         let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 5u64;
         for mode in 0..g.mode_count() {
-            for _ in 0..100 {
-                let mut n = [0u8; 9];
-                for p in n.iter_mut() {
-                    *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-                }
+            let hoods = random_hoods(100, 5 + mode as u64);
+            let got = kernel_on(&g, mode, &hoods, &exact);
+            for (n, &v) in hoods.iter().zip(got.iter()) {
                 let want: u32 = n
                     .iter()
                     .zip(g.kernels()[mode].iter())
                     .map(|(&p, &c)| p as u32 * c as u32)
                     .sum::<u32>()
                     >> 8;
-                assert_eq!(g.kernel(mode, &n, &exact, &mut obs) as u32, want);
+                assert_eq!(v as u32, want);
             }
         }
     }
@@ -196,33 +236,12 @@ mod tests {
         assert_eq!(top.input_count(), 144);
         assert_eq!(top.outputs().len(), 8);
         let exact = OpSet::exact(&g);
-        let mut obs = crate::accelerator::NoRecord;
-        let mut st = 29u64;
         for mode in 0..2 {
-            for _ in 0..60 {
-                let mut n = [0u8; 9];
-                for p in n.iter_mut() {
-                    *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-                }
-                let coeffs = g.kernels()[mode];
-                let mut words = Vec::with_capacity(144);
-                for byte in n.iter() {
-                    for b in 0..8 {
-                        words.push(if (byte >> b) & 1 != 0 { u64::MAX } else { 0 });
-                    }
-                }
-                for byte in coeffs.iter() {
-                    for b in 0..8 {
-                        words.push(if (byte >> b) & 1 != 0 { u64::MAX } else { 0 });
-                    }
-                }
-                let outs = autoax_circuit::sim::sim_lanes(&top, &words);
-                let hw = outs
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i));
-                let sw = g.kernel(mode, &n, &exact, &mut obs) as u64;
-                assert_eq!(hw, sw, "mode {mode} {n:?}");
+            let hoods = random_hoods(60, 29 + mode as u64);
+            let sw = kernel_on(&g, mode, &hoods, &exact);
+            for (n, &sw) in hoods.iter().zip(sw.iter()) {
+                let inputs: Vec<u8> = n.iter().chain(&g.kernels()[mode]).copied().collect();
+                assert_eq!(sim_bytes(&top, &inputs), sw as u64, "mode {mode} {n:?}");
             }
         }
     }

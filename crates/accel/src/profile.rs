@@ -5,7 +5,7 @@
 //! records every operand pair of every slot. The resulting [`Pmf`]s drive
 //! the WMED score used for library pre-processing.
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet};
+use crate::accelerator::{render, Accelerator, LaneScratch, OpObserver, OpSet, TapPlane};
 use autoax_image::GrayImage;
 use std::collections::HashMap;
 
@@ -153,27 +153,24 @@ impl PmfRecorder {
 
 impl OpObserver for PmfRecorder {
     #[inline]
-    fn record(&mut self, slot: usize, a: u64, b: u64) {
-        self.pmfs[slot].add(a as u32, b as u32);
+    fn record(&mut self, slot: usize, a: &[u32], b: &[u32]) {
+        let pmf = &mut self.pmfs[slot];
+        for (&a, &b) in a.iter().zip(b) {
+            pmf.add(a, b);
+        }
     }
 }
 
-/// Profiles an accelerator on one image: runs the exact software model
-/// over every mode and returns one [`Pmf`] per slot.
+/// Profiles an accelerator on one image: renders every mode through the
+/// shared row walker with the exact op set and returns one [`Pmf`] per
+/// slot.
 fn profile_image<A: Accelerator + ?Sized>(accel: &A, exact: &OpSet, img: &GrayImage) -> Vec<Pmf> {
     let mut rec = PmfRecorder::new(accel.slots().len());
+    let plane = TapPlane::new(img);
+    let mut scratch = LaneScratch::default();
+    let mut out = GrayImage::new(img.width(), img.height());
     for mode in 0..accel.mode_count() {
-        for y in 0..img.height() as isize {
-            for x in 0..img.width() as isize {
-                let mut n = [0u8; 9];
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        n[(3 * (dy + 1) + dx + 1) as usize] = img.get_clamped(x + dx, y + dy);
-                    }
-                }
-                let _ = accel.kernel(mode, &n, exact, &mut rec);
-            }
-        }
+        render(accel, &plane, mode, exact, &mut rec, &mut scratch, &mut out);
     }
     rec.pmfs
 }

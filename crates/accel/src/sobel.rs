@@ -11,7 +11,9 @@
 //! sub  = sub10(add4, add2)         out  = clamp255(|sub|)
 //! ```
 
-use crate::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
+use crate::accelerator::{
+    apply_slot, shift_lanes, Accelerator, LaneScratch, OpObserver, OpSet, OpSlot, Taps,
+};
 use autoax_circuit::netlist::{Bus, Netlist};
 use autoax_circuit::OpSignature;
 
@@ -51,28 +53,30 @@ impl Accelerator for SobelEd {
         &self.slots
     }
 
-    fn kernel(&self, _mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        let (p00, p10, p20) = (n[0] as u64, n[3] as u64, n[6] as u64);
-        let (p02, p12, p22) = (n[2] as u64, n[5] as u64, n[8] as u64);
-        obs.record(0, p00, p20);
-        let a1 = ops.apply(0, p00, p20) & 0x1FF;
-        let sh1 = p10 << 1;
-        obs.record(1, a1, sh1);
-        let a2 = ops.apply(1, a1, sh1) & 0x3FF;
-        obs.record(2, p02, p22);
-        let a3 = ops.apply(2, p02, p22) & 0x1FF;
-        let sh2 = p12 << 1;
-        obs.record(3, a3, sh2);
-        let a4 = ops.apply(3, a3, sh2) & 0x3FF;
-        obs.record(4, a4, a2);
-        let d = ops.apply(4, a4, a2) & 0x7FF;
+    fn kernel(
+        &self,
+        _mode: usize,
+        t: &Taps<'_>,
+        ops: &OpSet,
+        obs: &mut dyn OpObserver,
+        scratch: &mut LaneScratch,
+        out: &mut [u8],
+    ) {
+        let [a1, sh1, a2, a3, sh2, a4, d] = scratch.split(out.len());
+        // pixel taps: p00 = t[0], p10 = t[3], p20 = t[6] (left column),
+        // p02 = t[2], p12 = t[5], p22 = t[8] (right column)
+        apply_slot(ops, obs, 0, t[0], t[6], 0x1FF, a1);
+        shift_lanes(t[3], 1, u32::MAX, sh1);
+        apply_slot(ops, obs, 1, a1, sh1, 0x3FF, a2);
+        apply_slot(ops, obs, 2, t[2], t[8], 0x1FF, a3);
+        shift_lanes(t[5], 1, u32::MAX, sh2);
+        apply_slot(ops, obs, 3, a3, sh2, 0x3FF, a4);
+        apply_slot(ops, obs, 4, a4, a2, 0x7FF, d);
         // exact glue: sign-extend the 11-bit result, abs, clamp
-        let signed = if d & 0x400 != 0 {
-            d as i64 - 0x800
-        } else {
-            d as i64
-        };
-        signed.unsigned_abs().min(255) as u8
+        for (o, &d) in out.iter_mut().zip(d.iter()) {
+            let signed = ((d << 21) as i32) >> 21;
+            *o = signed.unsigned_abs().min(255) as u8;
+        }
     }
 
     fn build_netlist(&self, impls: &[Netlist]) -> Netlist {
@@ -121,6 +125,36 @@ fn abs_clamp_to_u8(n: &mut Netlist, d: &Bus) -> Bus {
     // saturate: if mag[8] | mag[9], output 255
     let sat = n.or2(mag[8], mag[9]);
     Bus((0..8).map(|i| n.or2(mag[i], sat)).collect())
+}
+
+/// The per-pixel Sobel model that preceded the lane kernel (test oracle).
+#[cfg(test)]
+pub(crate) fn pixel_oracle(
+    _mode: usize,
+    n: &[u8; 9],
+    ops: &OpSet,
+    record: &mut dyn FnMut(usize, u64, u64),
+) -> u8 {
+    let (p00, p10, p20) = (n[0] as u64, n[3] as u64, n[6] as u64);
+    let (p02, p12, p22) = (n[2] as u64, n[5] as u64, n[8] as u64);
+    record(0, p00, p20);
+    let a1 = ops.apply(0, p00, p20) & 0x1FF;
+    let sh1 = p10 << 1;
+    record(1, a1, sh1);
+    let a2 = ops.apply(1, a1, sh1) & 0x3FF;
+    record(2, p02, p22);
+    let a3 = ops.apply(2, p02, p22) & 0x1FF;
+    let sh2 = p12 << 1;
+    record(3, a3, sh2);
+    let a4 = ops.apply(3, a3, sh2) & 0x3FF;
+    record(4, a4, a2);
+    let d = ops.apply(4, a4, a2) & 0x7FF;
+    let signed = if d & 0x400 != 0 {
+        d as i64 - 0x800
+    } else {
+        d as i64
+    };
+    signed.unsigned_abs().min(255) as u8
 }
 
 #[cfg(test)]
@@ -194,39 +228,14 @@ mod tests {
     }
 
     fn check_netlist_vs_sw_ops(s: &SobelEd, top: &Netlist, ops: &OpSet) {
-        let mut st = 7u64;
-        let mut hoods = Vec::new();
-        for _ in 0..200 {
-            let mut n = [0u8; 9];
-            for p in n.iter_mut() {
-                *p = (autoax_circuit::util::splitmix64(&mut st) & 0xFF) as u8;
-            }
-            hoods.push(n);
-        }
+        let hoods = crate::accelerator::oracle::random_hoods(200, 7);
         let outs: Vec<u64> = hoods
             .iter()
-            .map(|n| {
-                let words: Vec<u64> = (0..72)
-                    .map(|bit| {
-                        let byte = bit / 8;
-                        let b = bit % 8;
-                        if (n[byte] >> b) & 1 != 0 {
-                            u64::MAX
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                let o = autoax_circuit::sim::sim_lanes(top, &words);
-                o.iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, w)| acc | ((w & 1) << i))
-            })
+            .map(|n| crate::accelerator::oracle::sim_bytes(top, n))
             .collect();
-        let mut obs = crate::accelerator::NoRecord;
-        for (n, &hw) in hoods.iter().zip(outs.iter()) {
-            let sw = s.kernel(0, n, ops, &mut obs) as u64;
-            assert_eq!(hw, sw, "neighbourhood {n:?}");
+        let sw = crate::accelerator::oracle::kernel_on(s, 0, &hoods, ops);
+        for ((n, &hw), &sw) in hoods.iter().zip(outs.iter()).zip(sw.iter()) {
+            assert_eq!(hw, sw as u64, "neighbourhood {n:?}");
         }
     }
 

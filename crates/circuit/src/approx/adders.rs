@@ -7,6 +7,7 @@
 //! inside an accelerator.
 
 use super::cells::FaCell;
+use super::{map_lanes, mask32, or_lanes};
 use crate::arith;
 use crate::netlist::{Bus, Netlist};
 use crate::util::mask;
@@ -186,6 +187,107 @@ pub fn eval(w: u32, kind: &AdderKind, a: u64, b: u64) -> u64 {
                 c = co;
             }
             res | (c << w)
+        }
+    }
+}
+
+/// Lane model: `out[i] = eval(w, kind, a[i] & mask(w), b[i] & mask(w))`
+/// for `w <= 31`. Families whose carries depend on per-lane data (ACA,
+/// GeAr, segments, cell ripples) run one pass over the lanes per
+/// parameter-determined step instead of one scalar loop per lane.
+pub(crate) fn eval_into(w: u32, kind: &AdderKind, a: &[u32], b: &[u32], out: &mut [u32]) {
+    debug_assert!(w <= 31);
+    let m = mask32(w);
+    match kind {
+        AdderKind::Exact | AdderKind::ExactCla => map_lanes(a, b, out, m, m, |x, y| x + y),
+        AdderKind::TruncZero { k } => map_lanes(a, b, out, m, m, |x, y| ((x >> k) + (y >> k)) << k),
+        AdderKind::TruncPass { k } => {
+            let mk = mask32(*k);
+            map_lanes(a, b, out, m, m, |x, y| {
+                (((x >> k) + (y >> k)) << k) | (x & mk)
+            })
+        }
+        AdderKind::Loa { k } => {
+            let mk = mask32(*k);
+            map_lanes(a, b, out, m, m, |x, y| {
+                let cin = (x >> (k - 1)) & (y >> (k - 1)) & 1;
+                (((x >> k) + (y >> k) + cin) << k) | ((x | y) & mk)
+            })
+        }
+        AdderKind::XorLower { k } => {
+            let mk = mask32(*k);
+            map_lanes(a, b, out, m, m, |x, y| {
+                (((x >> k) + (y >> k)) << k) | ((x ^ y) & mk)
+            })
+        }
+        AdderKind::Aca { r } => {
+            out.fill(0);
+            // result bit i (and the carry-out at i = w, where the operand
+            // bits are zero) adds the carry of the window [i - r, i)
+            for i in 0..=w {
+                let lo = i.saturating_sub(*r);
+                let win = i - lo;
+                let mw = mask32(win);
+                or_lanes(a, b, out, m, |x, y| {
+                    let cin = (((x >> lo) & mw) + ((y >> lo) & mw)) >> win;
+                    (((x >> i) ^ (y >> i) ^ cin) & 1) << i
+                });
+            }
+        }
+        AdderKind::Gear { r, p } => {
+            let first = r + p;
+            if first >= w {
+                return map_lanes(a, b, out, m, m, |x, y| x + y);
+            }
+            let mf = mask32(first);
+            map_lanes(a, b, out, m, m, |x, y| ((x & mf) + (y & mf)) & mf);
+            let mut seg = first;
+            while seg < w {
+                let lo = seg - p;
+                let r_eff = (*r).min(w - seg);
+                let (ms, mr) = (mask32(p + r_eff), mask32(r_eff));
+                // only the last sub-adder's carry reaches bit w
+                let carry = u32::from(seg + r_eff == w);
+                or_lanes(a, b, out, m, |x, y| {
+                    let s = ((x >> lo) & ms) + ((y >> lo) & ms);
+                    (((s >> p) & mr) << seg) | (((s >> (p + r_eff)) & carry) << w)
+                });
+                seg += r_eff;
+            }
+        }
+        AdderKind::Seg { segs, speculate } => {
+            out.fill(0);
+            let mut off = 0u32;
+            for (j, &s) in segs.iter().enumerate() {
+                let s = s as u32;
+                let ms = mask32(s);
+                let spec = u32::from(*speculate && j > 0);
+                let prev = off.saturating_sub(1);
+                let keep = mask32(if j + 1 == segs.len() { s + 1 } else { s });
+                or_lanes(a, b, out, m, |x, y| {
+                    let cin = (x >> prev) & (y >> prev) & spec;
+                    ((((x >> off) & ms) + ((y >> off) & ms) + cin) & keep) << off
+                });
+                off += s;
+            }
+        }
+        AdderKind::CellRipple { cells } => ripple_lanes(w, cells, a, b, out),
+    }
+}
+
+/// Lane model of a per-bit cell ripple (adder or subtractor): one pass
+/// per bit, each lane's running carry parked in result bit `w`, where the
+/// final carry-out belongs.
+pub(crate) fn ripple_lanes(w: u32, cells: &[FaCell], a: &[u32], b: &[u32], out: &mut [u32]) {
+    debug_assert_eq!(cells.len() as u32, w);
+    let m = mask32(w);
+    out.fill(0);
+    for (i, cell) in cells.iter().enumerate() {
+        // bit i < w of an operand needs no masking
+        let (sum, carry) = (cell.sum as u32, cell.carry as u32);
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            let idx = ((x >> i) & 1) | (((y >> i) & 1) << 1) | ((*o >> w) << 2);
+            *o = (*o & m) | (((sum >> idx) & 1) << i) | (((carry >> idx) & 1) << w);
         }
     }
 }

@@ -89,15 +89,43 @@ impl Behavior {
         }
     }
 
-    /// Evaluates a batch of operand pairs. For [`Behavior::Raw`] this uses
-    /// 64-way bit-parallel simulation; for parameterized families it calls
-    /// the functional model in a loop.
-    pub fn eval_batch(&self, pairs: &[(u64, u64)]) -> Vec<u64> {
+    /// Evaluates the circuit over lanes: `out[i] = eval(a[i], b[i])`, bit
+    /// for bit, out-of-range operand bits masked off as in
+    /// [`Behavior::eval`].
+    ///
+    /// The family is dispatched once per batch; each family then runs a
+    /// loop over the lanes whose shape depends only on its parameters
+    /// (truncation, LOA and XOR lower parts are plain bit operations that
+    /// vectorize). [`Behavior::Raw`] simulates 64 lanes per pass.
+    ///
+    /// # Panics
+    /// Panics if the three slices differ in length or the result is wider
+    /// than 32 bits.
+    pub fn eval_into(&self, a: &[u32], b: &[u32], out: &mut [u32]) {
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "lane count mismatch: a {}, b {}, out {}",
+            a.len(),
+            b.len(),
+            out.len()
+        );
+        let sig = self.signature();
+        assert!(
+            sig.output_width() <= 32,
+            "{sig} results do not fit u32 lanes"
+        );
         match self {
-            Behavior::Raw { sig, netlist } => {
-                crate::sim::eval_binop_batch(netlist, sig.width_a as u32, sig.width_b as u32, pairs)
-            }
-            _ => pairs.iter().map(|&(a, b)| self.eval(a, b)).collect(),
+            Behavior::Adder { w, kind } => adders::eval_into(*w, kind, a, b, out),
+            Behavior::Subtractor { w, kind } => subs::eval_into(*w, kind, a, b, out),
+            Behavior::Multiplier { wa, wb, kind } => muls::eval_into(*wa, *wb, kind, a, b, out),
+            Behavior::Raw { sig, netlist } => crate::sim::eval_binop_into(
+                netlist,
+                sig.width_a as u32,
+                sig.width_b as u32,
+                a,
+                b,
+                out,
+            ),
         }
     }
 
@@ -141,9 +169,49 @@ impl Behavior {
     }
 }
 
+/// The lane loop shared by the families' `eval_into`:
+/// `out[i] = f(a[i] & ma, b[i] & mb)`. With a branch-free `f` LLVM
+/// vectorizes it.
+#[inline(always)]
+pub(crate) fn map_lanes(
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+    ma: u32,
+    mb: u32,
+    f: impl Fn(u32, u32) -> u32,
+) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x & ma, y & mb);
+    }
+}
+
+/// `out[i] |= f(a[i] & ma, b[i] & ma)` — one pass of a multi-pass family
+/// (both operands share the width `ma`).
+#[inline(always)]
+pub(crate) fn or_lanes(
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+    ma: u32,
+    f: impl Fn(u32, u32) -> u32,
+) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o |= f(x & ma, y & ma);
+    }
+}
+
+/// A `w`-bit lane mask (`w <= 32`).
+#[inline]
+pub(crate) const fn mask32(w: u32) -> u32 {
+    crate::util::mask(w) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::splitmix64;
+    use proptest::prelude::*;
 
     #[test]
     fn exact_behaviors_match_signature_exact() {
@@ -173,16 +241,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eval_batch_matches_eval() {
-        let b = Behavior::Adder {
-            w: 8,
-            kind: adders::AdderKind::Loa { k: 3 },
-        };
-        let pairs = crate::util::stimulus_pairs(8, 8, 500, 5);
-        let batch = b.eval_batch(&pairs);
-        for (i, &(x, y)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], b.eval(x, y));
+    /// Every family of every operation kind, at the paper's widths plus
+    /// odd ones, and two netlist behaviours (a rebuilt adder and a
+    /// mutant): the population `eval_into` must match `eval` on.
+    fn every_family(seed: u64) -> Vec<Behavior> {
+        use adders::AdderKind as A;
+        use muls::MulKind as M;
+        use subs::SubKind as S;
+        let mut st = seed;
+        let mut cells =
+            |n: u32| -> Arc<[FaCell]> { (0..n).map(|_| FaCell::random(&mut st)).collect() };
+        let mut out = Vec::new();
+        for w in [3u32, 8, 9, 10, 16] {
+            let k = (w / 3).max(1);
+            let adds = [
+                A::Exact,
+                A::ExactCla,
+                A::TruncZero { k },
+                A::TruncPass { k },
+                A::Loa { k },
+                A::Loa { k: 1 },
+                A::XorLower { k },
+                A::Aca { r: 1 },
+                A::Aca { r: k + 1 },
+                A::Gear { r: 2, p: 1 },
+                A::Gear { r: 3, p: 2 },
+                A::Gear { r: w, p: 1 },
+                A::Seg {
+                    segs: vec![(w / 2) as u8, (w - w / 2) as u8],
+                    speculate: false,
+                },
+                A::Seg {
+                    segs: vec![1, (w - 2) as u8, 1],
+                    speculate: true,
+                },
+                A::CellRipple { cells: cells(w) },
+            ];
+            out.extend(adds.into_iter().map(|kind| Behavior::Adder { w, kind }));
+            let subs = [
+                S::Exact,
+                S::TruncZero { k },
+                S::TruncPass { k },
+                S::XorLower { k },
+                S::Seg {
+                    segs: vec![(w - w / 3) as u8, (w / 3) as u8],
+                },
+                S::CellRipple { cells: cells(w) },
+            ];
+            out.extend(
+                subs.into_iter()
+                    .map(|kind| Behavior::Subtractor { w, kind }),
+            );
+        }
+        for (wa, wb) in [(8u32, 8u32), (4, 4), (6, 3)] {
+            let muls = [
+                M::Exact,
+                M::ExactWallace,
+                M::Bam { vbl: wa, hbl: 2 },
+                M::Bam { vbl: 0, hbl: 0 },
+                M::Trunc { k: 3, comp: false },
+                M::Trunc { k: 3, comp: true },
+                M::PerfRows { row_mask: 0b101 },
+                M::CellGrid {
+                    cells: cells((wb - 1) * wa),
+                },
+            ];
+            out.extend(
+                muls.into_iter()
+                    .map(|kind| Behavior::Multiplier { wa, wb, kind }),
+            );
+        }
+        for leaf_mask in [0u16, 0x0F0F, 0xFFFF] {
+            out.push(Behavior::Multiplier {
+                wa: 8,
+                wb: 8,
+                kind: M::Udm { leaf_mask },
+            });
+        }
+        for sig in [OpSignature::ADD9, OpSignature::SUB10, OpSignature::MUL8] {
+            let base = Behavior::exact_for(sig).build_netlist();
+            let mutant = crate::approx::mutate::mutate_netlist(&base, 6, seed);
+            for netlist in [base, mutant] {
+                out.push(Behavior::Raw {
+                    sig,
+                    netlist: Arc::new(netlist),
+                });
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `eval_into` is `eval` bit for bit on every family, at lane
+        /// counts around the 64-lane simulator block (0, 1, 63, 64, 65,
+        /// and one random count), with operands whose bits above the
+        /// class width are set (which every path must mask off).
+        #[test]
+        fn eval_into_is_eval_per_lane(seed in any::<u64>(), extra in 2usize..200) {
+            let mut st = seed ^ 0x1A4E;
+            for behavior in every_family(seed) {
+                for n in [0usize, 1, 63, 64, 65, extra] {
+                    let a: Vec<u32> = (0..n).map(|_| splitmix64(&mut st) as u32).collect();
+                    let b: Vec<u32> = (0..n).map(|_| splitmix64(&mut st) as u32).collect();
+                    let mut out = vec![0xDEAD_BEEF; n];
+                    behavior.eval_into(&a, &b, &mut out);
+                    for i in 0..n {
+                        let want = behavior.eval(a[i] as u64, b[i] as u64);
+                        prop_assert_eq!(
+                            out[i] as u64,
+                            want,
+                            "{} {} lane {}/{}: a={:#x} b={:#x}",
+                            behavior.signature(),
+                            behavior.label(),
+                            i,
+                            n,
+                            a[i],
+                            b[i]
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -7,6 +7,7 @@
 //! `wa + wb`-bit product.
 
 use super::cells::FaCell;
+use super::{map_lanes, mask32};
 use crate::arith;
 use crate::netlist::{Bus, NetId, Netlist};
 use crate::util::mask;
@@ -125,30 +126,100 @@ pub fn eval(wa: u32, wb: u32, kind: &MulKind, a: u64, b: u64) -> u64 {
             let mut leaf_idx = 0usize;
             udm_eval(wa, a, b, *leaf_mask, &mut leaf_idx)
         }
-        MulKind::CellGrid { cells } => {
-            debug_assert_eq!(cells.len() as u32, (wb - 1) * wa);
-            let wout = (wa + wb) as usize;
-            let mut acc = vec![0u64; wout];
-            for (j, slot) in acc.iter_mut().enumerate().take(wa as usize) {
-                *slot = ((a >> j) & 1) & (b & 1);
+        MulKind::CellGrid { cells } => cell_grid(wa, wb, cells, a, b),
+    }
+}
+
+/// Lane model: `out[i] = eval(wa, wb, kind, a[i] & mask(wa), b[i] &
+/// mask(wb))` for `wa + wb <= 32`. The array families run one pass per
+/// partial-product row; UDM and cell grids evaluate lane by lane.
+pub(crate) fn eval_into(wa: u32, wb: u32, kind: &MulKind, a: &[u32], b: &[u32], out: &mut [u32]) {
+    debug_assert!(wa + wb <= 32);
+    let (ma, mb, mo) = (mask32(wa), mask32(wb), mask32(wa + wb));
+    match kind {
+        MulKind::Exact | MulKind::ExactWallace => map_lanes(a, b, out, ma, mb, |x, y| x * y),
+        MulKind::Bam { vbl, hbl } => bam_lanes(wa, wb, *vbl, *hbl, a, b, out),
+        MulKind::Trunc { k, comp } => {
+            bam_lanes(wa, wb, *k, 0, a, b, out);
+            if *comp && *k >= 1 {
+                let c = 1u32 << (k - 1);
+                out.iter_mut().for_each(|o| *o = o.wrapping_add(c) & mo);
             }
-            for i in 1..wb as usize {
-                let bi = (b >> i) & 1;
-                let mut carry = 0u64;
-                for j in 0..wa as usize {
-                    let pp = ((a >> j) & 1) & bi;
-                    let cell = cells[(i - 1) * wa as usize + j];
-                    let (s, c) = cell.eval(acc[i + j], pp, carry);
-                    acc[i + j] = s;
-                    carry = c;
-                }
-                acc[i + wa as usize] = carry;
+        }
+        MulKind::PerfRows { row_mask } => {
+            out.fill(0);
+            for i in (0..wb).filter(|i| (row_mask >> i) & 1 == 0) {
+                add_row(a, b, out, ma, mb, i, |x| x << i);
             }
-            acc.iter()
-                .enumerate()
-                .fold(0u64, |r, (i, &bit)| r | (bit << i))
+            out.iter_mut().for_each(|o| *o &= mo);
+        }
+        MulKind::Udm { leaf_mask } => map_lanes(a, b, out, ma, mb, |x, y| {
+            udm_eval(wa, x as u64, y as u64, *leaf_mask, &mut 0) as u32
+        }),
+        MulKind::CellGrid { cells } => map_lanes(a, b, out, ma, mb, |x, y| {
+            cell_grid(wa, wb, cells, x as u64, y as u64) as u32
+        }),
+    }
+}
+
+/// The broken-array multiplier over lanes: one pass per row `i` adds the
+/// kept columns of `a << i` where bit `i` of `b` is set.
+fn bam_lanes(wa: u32, wb: u32, vbl: u32, hbl: u32, a: &[u32], b: &[u32], out: &mut [u32]) {
+    let (ma, mb) = (mask32(wa), mask32(wb));
+    out.fill(0);
+    for i in 0..wb {
+        let mut j_lo = vbl.saturating_sub(i);
+        if i < hbl {
+            j_lo = j_lo.max(wa.saturating_sub(i));
+        }
+        if j_lo < wa {
+            add_row(a, b, out, ma, mb, i, |x| ((x >> j_lo) << j_lo) << i);
         }
     }
+    let mo = mask32(wa + wb);
+    out.iter_mut().for_each(|o| *o &= mo);
+}
+
+/// `out[l] += row(a[l])` in the lanes where bit `i` of `b[l]` is set.
+#[inline(always)]
+fn add_row(
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+    ma: u32,
+    mb: u32,
+    i: u32,
+    row: impl Fn(u32) -> u32,
+) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        let sel = 0u32.wrapping_sub(((y & mb) >> i) & 1);
+        *o = o.wrapping_add(row(x & ma) & sel);
+    }
+}
+
+/// Functional model of [`MulKind::CellGrid`].
+fn cell_grid(wa: u32, wb: u32, cells: &[FaCell], a: u64, b: u64) -> u64 {
+    debug_assert_eq!(cells.len() as u32, (wb - 1) * wa);
+    let mut acc = [0u64; 64];
+    for (j, slot) in acc.iter_mut().enumerate().take(wa as usize) {
+        *slot = ((a >> j) & 1) & (b & 1);
+    }
+    for i in 1..wb as usize {
+        let bi = (b >> i) & 1;
+        let mut carry = 0u64;
+        for j in 0..wa as usize {
+            let pp = ((a >> j) & 1) & bi;
+            let cell = cells[(i - 1) * wa as usize + j];
+            let (s, c) = cell.eval(acc[i + j], pp, carry);
+            acc[i + j] = s;
+            carry = c;
+        }
+        acc[i + wa as usize] = carry;
+    }
+    acc[..(wa + wb) as usize]
+        .iter()
+        .enumerate()
+        .fold(0u64, |r, (i, &bit)| r | (bit << i))
 }
 
 /// Recursive UDM evaluation; `leaf_idx` tracks the leaf numbering in

@@ -4,6 +4,7 @@
 //! the exact subtractor interface.
 
 use super::cells::FaCell;
+use super::{map_lanes, mask32, or_lanes};
 use crate::arith;
 use crate::netlist::{Bus, Netlist};
 use crate::util::mask;
@@ -111,6 +112,53 @@ pub fn eval(w: u32, kind: &SubKind, a: u64, b: u64) -> u64 {
             // sign bit = final borrow
             res | (borrow << w)
         }
+    }
+}
+
+/// Lane model: `out[i] = eval(w, kind, a[i] & mask(w), b[i] & mask(w))`
+/// for `w <= 31`, one pass per segment or cell where borrows are
+/// per-lane data.
+pub(crate) fn eval_into(w: u32, kind: &SubKind, a: &[u32], b: &[u32], out: &mut [u32]) {
+    debug_assert!(w <= 31);
+    let m = mask32(w);
+    match kind {
+        SubKind::Exact => {
+            let mo = mask32(w + 1);
+            map_lanes(a, b, out, m, m, |x, y| x.wrapping_sub(y) & mo)
+        }
+        SubKind::TruncZero { k } => {
+            let mh = mask32(w + 1 - k);
+            map_lanes(a, b, out, m, m, |x, y| {
+                ((x >> k).wrapping_sub(y >> k) & mh) << k
+            })
+        }
+        SubKind::TruncPass { k } => {
+            let (mh, mk) = (mask32(w + 1 - k), mask32(*k));
+            map_lanes(a, b, out, m, m, |x, y| {
+                (((x >> k).wrapping_sub(y >> k) & mh) << k) | (x & mk)
+            })
+        }
+        SubKind::XorLower { k } => {
+            let (mh, mk) = (mask32(w + 1 - k), mask32(*k));
+            map_lanes(a, b, out, m, m, |x, y| {
+                (((x >> k).wrapping_sub(y >> k) & mh) << k) | ((x ^ y) & mk)
+            })
+        }
+        SubKind::Seg { segs } => {
+            out.fill(0);
+            let mut off = 0u32;
+            for (j, &s) in segs.iter().enumerate() {
+                let s = s as u32;
+                let ms = mask32(s);
+                // the top segment keeps its sign bit
+                let keep = mask32(if j + 1 == segs.len() { s + 1 } else { s });
+                or_lanes(a, b, out, m, |x, y| {
+                    (((x >> off) & ms).wrapping_sub((y >> off) & ms) & keep) << off
+                });
+                off += s;
+            }
+        }
+        SubKind::CellRipple { cells } => super::adders::ripple_lanes(w, cells, a, b, out),
     }
 }
 

@@ -160,6 +160,33 @@ impl OpSignature {
         }
     }
 
+    /// Lane form of [`OpSignature::exact`]: `out[i] = exact(a[i], b[i])`
+    /// for classes whose result fits 32 bits.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length or the result is wider than
+    /// 32 bits.
+    pub fn exact_into(&self, a: &[u32], b: &[u32], out: &mut [u32]) {
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "lane count mismatch"
+        );
+        assert!(
+            self.output_width() <= 32,
+            "{self} results do not fit u32 lanes"
+        );
+        let ma = approx::mask32(self.width_a as u32);
+        let mb = approx::mask32(self.width_b as u32);
+        match self.kind {
+            OpKind::Add => approx::map_lanes(a, b, out, ma, mb, |x, y| x + y),
+            OpKind::Sub => {
+                let mo = approx::mask32(self.output_width() as u32);
+                approx::map_lanes(a, b, out, ma, mb, |x, y| x.wrapping_sub(y) & mo)
+            }
+            OpKind::Mul => approx::map_lanes(a, b, out, ma, mb, |x, y| x * y),
+        }
+    }
+
     /// Interprets a raw `output_width`-bit result of this class as a signed
     /// integer (only meaningful for [`OpKind::Sub`]; other kinds are
     /// returned unchanged).

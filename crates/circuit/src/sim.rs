@@ -141,22 +141,71 @@ pub fn eval_binop_batch(netlist: &Netlist, wa: u32, wb: u32, pairs: &[(u64, u64)
     let mut results = Vec::with_capacity(pairs.len());
     let mut values = Vec::with_capacity(netlist.net_count());
     for chunk in pairs.chunks(64) {
-        // transposing the operand lanes yields one word per operand bit
         let mut a_bits = [0u64; 64];
         let mut b_bits = [0u64; 64];
         for (lane, &(a, b)) in chunk.iter().enumerate() {
             a_bits[lane] = a;
             b_bits[lane] = b;
         }
-        transpose64(&mut a_bits);
-        transpose64(&mut b_bits);
-        values.clear();
-        values.extend_from_slice(&a_bits[..wa as usize]);
-        values.extend_from_slice(&b_bits[..wb as usize]);
-        eval_gates(netlist, &mut values);
-        results.extend_from_slice(&output_lanes(netlist, &values)[..chunk.len()]);
+        let lanes = eval_binop_block(netlist, wa, wb, a_bits, b_bits, &mut values);
+        results.extend_from_slice(&lanes[..chunk.len()]);
     }
     results
+}
+
+/// Lane form of [`eval_binop_batch`]: `out[i]` is the circuit's result on
+/// `(a[i], b[i])`, 64 lanes per simulation pass, truncated to `u32`.
+///
+/// # Panics
+/// Panics if the netlist does not have exactly `wa + wb` inputs, has more
+/// than 64 outputs, or the slices differ in length.
+pub(crate) fn eval_binop_into(
+    netlist: &Netlist,
+    wa: u32,
+    wb: u32,
+    a: &[u32],
+    b: &[u32],
+    out: &mut [u32],
+) {
+    assert_eq!(netlist.input_count() as u32, wa + wb);
+    assert_fits_u64(netlist);
+    assert!(
+        a.len() == out.len() && b.len() == out.len(),
+        "lane count mismatch"
+    );
+    let mut values = Vec::with_capacity(netlist.net_count());
+    for ((o, a), b) in out.chunks_mut(64).zip(a.chunks(64)).zip(b.chunks(64)) {
+        let mut a_bits = [0u64; 64];
+        let mut b_bits = [0u64; 64];
+        for (lane, (&x, &y)) in a.iter().zip(b).enumerate() {
+            a_bits[lane] = x as u64;
+            b_bits[lane] = y as u64;
+        }
+        let lanes = eval_binop_block(netlist, wa, wb, a_bits, b_bits, &mut values);
+        for (o, &r) in o.iter_mut().zip(&lanes) {
+            *o = r as u32;
+        }
+    }
+}
+
+/// One 64-lane pass of a two-operand circuit: `a_bits`/`b_bits` hold one
+/// operand per lane; transposing them yields one word per operand bit
+/// (bits above `wa`/`wb` are never read). Returns one result per lane.
+fn eval_binop_block(
+    netlist: &Netlist,
+    wa: u32,
+    wb: u32,
+    mut a_bits: [u64; 64],
+    mut b_bits: [u64; 64],
+    values: &mut Vec<u64>,
+) -> [u64; 64] {
+    transpose64(&mut a_bits);
+    transpose64(&mut b_bits);
+    values.clear();
+    values.extend_from_slice(&a_bits[..wa as usize]);
+    values.extend_from_slice(&b_bits[..wb as usize]);
+    eval_gates(netlist, values);
+    output_lanes(netlist, values)
 }
 
 /// The canonical word patterns that enumerate all assignments of the lowest

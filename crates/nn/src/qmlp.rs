@@ -43,10 +43,10 @@ pub fn mac_step(
     w: u8,
     obs: &mut dyn OpObserver,
 ) -> u64 {
-    obs.record(mul_slot, x as u64, w as u64);
+    obs.record(mul_slot, &[x as u32], &[w as u32]);
     let p = ops.apply(mul_slot, x as u64, w as u64) & 0xFFFF;
     let lo = acc & 0xFFFF;
-    obs.record(acc_slot, lo, p);
+    obs.record(acc_slot, &[lo as u32], &[p as u32]);
     let s = ops.apply(acc_slot, lo, p) & 0x1_FFFF;
     (acc & !0xFFFF).wrapping_add(s)
 }

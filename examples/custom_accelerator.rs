@@ -1,7 +1,8 @@
 //! Bringing your own accelerator to the methodology: implement the
-//! [`Accelerator`] trait (software kernel + hardware netlist over named
-//! operation slots) and the whole pipeline — profiling, WMED scoring,
-//! model training, Algorithm 1 — works unchanged.
+//! [`Accelerator`] trait (a lane kernel that evaluates each slot over a
+//! whole image row, plus a hardware netlist over named operation slots)
+//! and the whole pipeline — profiling, WMED scoring, model training,
+//! Algorithm 1 — works unchanged.
 //!
 //! The example builds a 4-pixel box smoother:
 //! `out = (center + right + below + below-right) / 4`
@@ -24,7 +25,9 @@
 
 use autoax::pipeline::{run_pipeline, PipelineOptions};
 use autoax::SearchAlgo;
-use autoax_accel::accelerator::{Accelerator, OpObserver, OpSet, OpSlot};
+use autoax_accel::accelerator::{
+    apply_slot, Accelerator, LaneScratch, OpObserver, OpSet, OpSlot, Taps,
+};
 use autoax_circuit::charlib::LibraryConfig;
 use autoax_circuit::netlist::{Bus, Netlist};
 use autoax_circuit::OpSignature;
@@ -57,17 +60,25 @@ impl Accelerator for BoxSmoother {
         &self.slots
     }
 
-    fn kernel(&self, _mode: usize, n: &[u8; 9], ops: &OpSet, obs: &mut dyn OpObserver) -> u8 {
-        // neighbourhood layout: n[4] = center, n[5] = right,
-        // n[7] = below, n[8] = below-right
-        let (c, r, b, d) = (n[4] as u64, n[5] as u64, n[7] as u64, n[8] as u64);
-        obs.record(0, c, r);
-        let s0 = ops.apply(0, c, r) & 0x1FF;
-        obs.record(1, b, d);
-        let s1 = ops.apply(1, b, d) & 0x1FF;
-        obs.record(2, s0, s1);
-        let t = ops.apply(2, s0, s1) & 0x3FF;
-        (t >> 2) as u8
+    fn kernel(
+        &self,
+        _mode: usize,
+        taps: &Taps<'_>,
+        ops: &OpSet,
+        obs: &mut dyn OpObserver,
+        scratch: &mut LaneScratch,
+        out: &mut [u8],
+    ) {
+        // one call per image row; lane x of taps[4] is the center pixel,
+        // taps[5] the right, taps[7] the below and taps[8] the
+        // below-right neighbour
+        let [s0, s1, t] = scratch.split(out.len());
+        apply_slot(ops, obs, 0, taps[4], taps[5], 0x1FF, s0);
+        apply_slot(ops, obs, 1, taps[7], taps[8], 0x1FF, s1);
+        apply_slot(ops, obs, 2, s0, s1, 0x3FF, t);
+        for (o, &v) in out.iter_mut().zip(t.iter()) {
+            *o = (v >> 2) as u8;
+        }
     }
 
     fn build_netlist(&self, impls: &[Netlist]) -> Netlist {

@@ -92,3 +92,41 @@ fn nn_pipeline_is_deterministic() {
     assert_eq!(a.front_digest(), b.front_digest());
     assert_eq!(a.pseudo_front.len(), b.pseudo_front.len());
 }
+
+/// The Gaussian accelerators' quick-pipeline fronts, pinned the same way
+/// as Sobel's: tiny library, the `gaussian_dse quick` images (two 64×48
+/// synthetic images, seed 11), quick budgets, hill search. Together with
+/// the Sobel pin this gates every accelerator's software model byte for
+/// byte (the values were captured on the per-pixel model that preceded
+/// the lane-batched one).
+#[test]
+fn gaussian_quick_fronts_are_bit_identical() {
+    use autoax_accel::gaussian_fixed::FixedGaussian;
+    use autoax_accel::gaussian_generic::GenericGaussian;
+    let lib = build_library(&LibraryConfig::tiny());
+    let images = benchmark_suite(2, 64, 48, 11);
+    let opts = PipelineOptions::quick();
+    let fixed = run_pipeline(&FixedGaussian::new(), &lib, &images, &opts).expect("fixed gf");
+    let generic =
+        run_pipeline(&GenericGaussian::with_sweep(2), &lib, &images, &opts).expect("generic gf");
+    assert_eq!(
+        (fixed.pseudo_front.len(), fixed.final_front.len()),
+        (60, 18),
+        "Fixed GF front sizes drifted"
+    );
+    assert_eq!(
+        (generic.pseudo_front.len(), generic.final_front.len()),
+        (28, 10),
+        "Generic GF front sizes drifted"
+    );
+    assert_eq!(
+        fixed.front_digest(),
+        0x9ee9_4d32_d22d_cfab,
+        "Fixed GF front drifted"
+    );
+    assert_eq!(
+        generic.front_digest(),
+        0xd122_589e_2274_4efd,
+        "Generic GF front drifted"
+    );
+}
